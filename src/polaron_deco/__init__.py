@@ -43,12 +43,11 @@ from .numerics import (
 )
 from .oracle import (
     FullState,
+    Propagator,
     PulseSchedule,
     TruncatedBathConfig,
-    apply_pulse,
     build_hamiltonian,
     compare_with_master_equation,
-    evolve_exact,
     exact_decoherence_reference,
     lang_firsov_check,
     ohmic_mode_config,

@@ -77,6 +77,11 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (val if isinstance(val, tuple) else (val,))):
+                raise ConfigError(f"{f.name} must be finite, got {_format_value(val)}")
         self.initial_state()
         self.bath_model()
         self.grid()

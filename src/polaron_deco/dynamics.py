@@ -151,7 +151,12 @@ class Trajectory:
         return 0.5 * (1.0 - np.sqrt(d * d + 4.0 * np.abs(self.rho_st) ** 2))
 
     def check_invariants(self):
-        """Raise if trace or positivity drifts beyond tolerance."""
+        """Raise if a state is non-finite or trace or positivity drifts beyond
+        tolerance."""
+        finite = np.isfinite(self.rho_ss) & np.isfinite(self.rho_tt) & np.isfinite(self.rho_st)
+        if not finite.all():
+            raise NumericalError(
+                f"non-finite state first at t={self.grid.points[np.argmin(finite)]:.6g}")
         if self.trace_error() > TRACE_TOL:
             raise PositivityError(f"trace error {self.trace_error():.3e} > {TRACE_TOL}")
         mins = self.min_eigenvalues()

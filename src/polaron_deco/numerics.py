@@ -72,6 +72,8 @@ class TimeGrid:
         if not self.t_max > 0:
             raise ConfigError(f"t_max must be > 0, got {self.t_max}")
         steps = self.t_max / self.dt
+        if not math.isfinite(steps):
+            raise ConfigError(f"t_max/dt = {steps} is not a finite step count")
         n = int(round(steps))
         if n < 1 or abs(steps - n) > 1e-9 * max(1.0, steps):
             raise ConfigError(

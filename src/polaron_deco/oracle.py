@@ -10,6 +10,10 @@ Everything is restricted to the single-particle sector (plus an optional
 two-particle block for the induced interaction check), so the Hilbert space
 is 2 * (n_max + 1)^n_modes and dense eigendecomposition is cheap.
 
+Every exp(-i H t) below comes from one Propagator (the eigendecomposition
+of H, built once per Hamiltonian) applied to state vectors; pi pulses are
+O(dim) site-index reversals, never dense unitaries.
+
 Frames: evolution is carried out in the lab (Schroedinger) frame with the
 full Hamiltonian. Reported reduced states have the ideal system-only
 rotation exp(-i H_S t) undone, so a perfectly protected qubit returns
@@ -20,7 +24,6 @@ makes that rotation well defined with or without pulses.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +42,7 @@ __all__ = [
     "build_hamiltonian",
     "lang_firsov_generator",
     "lang_firsov_check",
-    "evolve_exact",
-    "apply_pulse",
+    "Propagator",
     "run_bangbang",
     "exact_decoherence_reference",
     "compare_with_master_equation",
@@ -236,13 +238,37 @@ def lang_firsov_generator(config: TruncatedBathConfig, particles: int = 1) -> np
     return -(np.kron(np.diag([1.0, 0.0]), disp[0]) + np.kron(np.diag([0.0, 1.0]), disp[1]))
 
 
+class Propagator:
+    """exp(-i H t) for one Hermitian H, held as its eigendecomposition."""
+
+    def __init__(self, ham: np.ndarray):
+        ham = np.asarray(ham)
+        with np.errstate(invalid="ignore"):  # inf - inf: reported below
+            dev = float(np.max(np.abs(ham - ham.conj().T)))
+        if not (dev <= 1e-12):
+            raise ConfigError(
+                f"exact propagation requires a finite Hermitian matrix "
+                f"(max |H - H^dag| = {dev:.3e})"
+            )
+        self.energies, self.vectors = np.linalg.eigh(ham)
+
+    def evolve(self, psi: np.ndarray, t) -> np.ndarray:
+        """exp(-i H t) psi for states along the last axis of psi.
+
+        The result has shape np.shape(t) + psi.shape: a scalar t evolves a
+        state (or a stack of states) to one time, a 1-d t to every time.
+        """
+        psi = np.asarray(psi)
+        t = np.asarray(t, dtype=float)
+        coeffs = (psi.conj() @ self.vectors).conj()  # V^dag psi, no copy of V
+        phases = np.exp(-1j * t.reshape(t.shape + (1,) * psi.ndim) * self.energies)
+        return (phases * coeffs) @ self.vectors.T
+
+
 def unitary_from_generator(s_matrix: np.ndarray) -> np.ndarray:
-    """exp(S) for anti-Hermitian S via eigendecomposition of iS."""
-    herm = 1j * s_matrix
-    if np.max(np.abs(herm - herm.conj().T)) > 1e-12:
-        raise ConfigError("generator is not anti-Hermitian")
-    w, v = np.linalg.eigh(herm)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    """exp(S) for anti-Hermitian S: the propagator of H = iS at t = 1."""
+    prop = Propagator(1j * s_matrix)
+    return prop.evolve(np.eye(len(s_matrix)), 1.0).T  # row j is exp(S) e_j
 
 
 @dataclass(frozen=True)
@@ -363,41 +389,11 @@ class FullState:
         vec[bath_dim] = site_amps[1]
         return cls(amplitudes=vec, bath_dim=bath_dim)
 
-    def reduced_site_matrix(self) -> np.ndarray:
-        a = self.amplitudes.reshape(2, self.bath_dim)
-        return a @ a.conj().T
 
-
-_PROP_CACHE: "OrderedDict[int, tuple]" = OrderedDict()
-_PROP_CACHE_SIZE = 8
-
-
-def _eig_cached(ham: np.ndarray):
-    key = id(ham)
-    hit = _PROP_CACHE.get(key)
-    if hit is not None and hit[0] is ham:
-        _PROP_CACHE.move_to_end(key)
-        return hit[1], hit[2]
-    if np.max(np.abs(ham - ham.conj().T)) > 1e-10:
-        raise ConfigError("exact propagation requires a Hermitian matrix")
-    w, v = np.linalg.eigh(ham)
-    _PROP_CACHE[key] = (ham, w, v)  # strong ref keeps id stable while cached
-    if len(_PROP_CACHE) > _PROP_CACHE_SIZE:
-        _PROP_CACHE.popitem(last=False)
-    return w, v
-
-
-def evolve_exact(state: FullState, ham: np.ndarray, dt: float) -> FullState:
-    """Exact unitary step exp(-i H dt) via a cached eigendecomposition."""
-    w, v = _eig_cached(ham)
-    amps = v @ (np.exp(-1j * w * dt) * (v.conj().T @ state.amplitudes))
-    return FullState(amplitudes=amps, bath_dim=state.bath_dim)
-
-
-def apply_pulse(state: FullState) -> FullState:
-    """Instantaneous site swap (pi pulse); its own inverse, bath untouched."""
-    a = state.amplitudes.reshape(2, state.bath_dim)
-    return FullState(amplitudes=a[::-1].ravel(), bath_dim=state.bath_dim)
+def _pulse(amps: np.ndarray, bath_dim: int) -> np.ndarray:
+    """Instantaneous site swap (pi pulse) of amplitude vectors along the last
+    axis; its own inverse, bath untouched."""
+    return amps.reshape(*amps.shape[:-1], 2, bath_dim)[..., ::-1, :].reshape(amps.shape)
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -409,7 +405,8 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 class PulseSchedule:
     """N two-pulse cycles of spacing delta_t covering total_time = 2 N delta_t.
 
-    Each cycle is (free for delta_t) pulse (free for delta_t) pulse, so a
+    Each cycle is pulse (free for delta_t) pulse (free for delta_t), i.e.
+    the operator U(delta_t) Pi U(delta_t) Pi with Pi acting first, so a
     cycle spans 2 delta_t; the pulses themselves take no time.
     """
 
@@ -427,13 +424,13 @@ class PulseSchedule:
         return self.total_time / (2 * self.cycles)
 
 
-def _ideal_rotation(config: TruncatedBathConfig, t: float) -> np.ndarray:
-    """exp(+i H_S t) in the [T, S] basis; H_S is diagonal there with
-    eigenvalues eps + J (triplet) and eps - J (singlet)."""
-    return np.diag([
-        np.exp(1j * (config.epsilon_onsite + config.j_hop) * t),
-        np.exp(1j * (config.epsilon_onsite - config.j_hop) * t),
-    ])
+def _ideal_rotation(config: TruncatedBathConfig, t) -> np.ndarray:
+    """Diagonal of exp(+i H_S t) in the [T, S] basis, shape np.shape(t) + (2,);
+    H_S is diagonal there with eigenvalues eps + J (triplet) and eps - J
+    (singlet)."""
+    energies = np.array([config.epsilon_onsite + config.j_hop,
+                         config.epsilon_onsite - config.j_hop])
+    return np.exp(1j * np.multiply.outer(t, energies))
 
 
 def _initial_site_branches(rho0: DensityMatrixST):
@@ -492,9 +489,10 @@ def run_bangbang(config: TruncatedBathConfig, rho0: DensityMatrixST,
                  schedules) -> BangBangReport:
     """Pulse-train protection runs over one or more schedules.
 
-    For each schedule the full state evolves through N cycles
-    U(dt) Pi U(dt) Pi and, separately, freely for the same total time; both
-    reduced states are compared to rho0 after undoing the ideal rotation.
+    Each branch vector of rho0 evolves through N cycles U(dt) Pi U(dt) Pi
+    (the pulse Pi acts first) and, once for all schedules, freely for the
+    same total time; both reduced states are compared to rho0 after undoing
+    the ideal rotation.
     With at least three schedules of a common total time, a log-log fit of
     the pulsed distance against delta_t estimates the scaling exponent
     (2 for a purely second-order per-cycle error accumulated over T/(2 dt)
@@ -510,33 +508,28 @@ def run_bangbang(config: TruncatedBathConfig, rho0: DensityMatrixST,
         raise ConfigError("all schedules must share one total_time for the scaling fit")
     total_time = schedules[0].total_time
 
-    ham = build_hamiltonian(config)
-    w, v = np.linalg.eigh(ham)
+    prop = Propagator(build_hamiltonian(config))
     db = config.bath_dim
-    swap = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), np.eye(db))
     rho0_matrix = rho0.matrix()
     branches = _initial_site_branches(rho0)
+    psi0 = np.stack([FullState.from_site_amplitudes(vec, db).amplitudes
+                     for _, vec in branches])
+    undo = _ideal_rotation(config, total_time)
 
+    def distance(psi):
+        rho = sum(p * r for (p, _), r in zip(branches, _reduced_st_series(psi, db)))
+        return trace_distance(undo[:, None] * rho * undo.conj(), rho0_matrix)
+
+    distance_free = distance(prop.evolve(psi0, total_time))
     results = []
-    for sched in sorted(schedules, key=lambda s: -s.cycles):
+    for sched in schedules:
         dt = sched.delta_t
-        u_dt = (v * np.exp(-1j * w * dt)) @ v.conj().T
-        cycle = u_dt @ swap @ u_dt @ swap
-        u_pulsed = np.linalg.matrix_power(cycle, sched.cycles)
-        u_free = (v * np.exp(-1j * w * total_time)) @ v.conj().T
-        rho_p = np.zeros((2, 2), dtype=complex)
-        rho_f = np.zeros((2, 2), dtype=complex)
-        for p, vec in branches:
-            psi0 = FullState.from_site_amplitudes(vec, db).amplitudes
-            rho_p += p * _reduced_st_series((u_pulsed @ psi0)[None, :], db)[0]
-            rho_f += p * _reduced_st_series((u_free @ psi0)[None, :], db)[0]
-        undo = _ideal_rotation(config, total_time)
-        rho_p = undo @ rho_p @ undo.conj().T
-        rho_f = undo @ rho_f @ undo.conj().T
+        psi = psi0
+        for _ in range(sched.cycles):
+            psi = prop.evolve(_pulse(prop.evolve(_pulse(psi, db), dt), db), dt)
         results.append(BangBangResult(
             delta_t=dt, n_cycles=sched.cycles,
-            distance_pulsed=trace_distance(rho_p, rho0_matrix),
-            distance_free=trace_distance(rho_f, rho0_matrix),
+            distance_pulsed=distance(psi), distance_free=distance_free,
         ))
     results.sort(key=lambda r: r.delta_t)
 
@@ -573,18 +566,15 @@ def exact_decoherence_reference(config: TruncatedBathConfig, rho0: DensityMatrix
     reported with the ideal rotation undone, which leaves the coherence
     magnitude and populations untouched.
     """
-    ham = build_hamiltonian(config)
-    w, v = np.linalg.eigh(ham)
+    prop = Propagator(build_hamiltonian(config))
     db = config.bath_dim
     t = grid.points
     rho_t = np.zeros((len(t), 2, 2), dtype=complex)
     for p, vec in _initial_site_branches(rho0):
         psi0 = FullState.from_site_amplitudes(vec, db).amplitudes
-        c0 = v.conj().T @ psi0
-        amp_series = np.einsum("ij,tj->ti", v, np.exp(-1j * np.outer(t, w)) * c0)
-        rho_t += p * _reduced_st_series(amp_series, db)
-    phases = np.stack([_ideal_rotation(config, tk) for tk in t])
-    rho_t = np.einsum("tij,tjk,tlk->til", phases, rho_t, phases.conj())
+        rho_t += p * _reduced_st_series(prop.evolve(psi0, t), db)
+    d = _ideal_rotation(config, t)
+    rho_t = d[:, :, None] * rho_t * d.conj()[:, None, :]
     traj = trajectory_from_matrices(grid, rho_t)
     return ExactReference(trajectory=traj, j_tilde=config.j_tilde(),
                           delta_e_b=config.delta_e_b())

@@ -245,6 +245,34 @@ class TestMain:
         assert record["error"] == type(exc).__name__
 
 
+    @pytest.mark.parametrize("argv", [
+        ["single", "--s", "nan"],
+        ["single", "--lambda", "nan"],
+        ["single", "--j", "inf"],
+        ["bangbang", "--lambda", "nan"],
+        ["oracle-compare", "--s", "nan"],
+        ["single", "--tmax", "inf"],
+        ["single", "--tmax", "1e300", "--dt", "1e-300"],
+    ])
+    def test_non_finite_input_exit_code(self, tmp_path, capsys, argv):
+        code = cli.main(argv + ["--out", str(tmp_path)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert not (tmp_path / "config_echo.cfg").exists()
+
+    def test_non_finite_trajectory_exit_code(self, tmp_path, capsys):
+        # exp(K_c) overflows at this coupling and the rates turn NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["single", "--lambda", "800", "--s", "10", "--tmax", "1",
+                             "--dt", "0.01", "--out", str(tmp_path)])
+        assert code == 3
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "NumericalError"
+        assert "non-finite state first at t=" in record["message"]
+        assert not (tmp_path / "trajectory.csv").exists()
+
+
 class TestSelftest:
     def test_selftest_passes(self, capsys):
         assert cli.selftest()

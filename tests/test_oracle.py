@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import polaron_deco as pd
 from polaron_deco import (
     ConfigError,
     DensityMatrixST,
     FullState,
+    Propagator,
     PulseSchedule,
     TimeGrid,
     TruncatedBathConfig,
 )
-from polaron_deco.oracle import _ST_FROM_SITE, ohmic_mode_config
+from polaron_deco.oracle import _ST_FROM_SITE, _pulse, ohmic_mode_config
 from conftest import fig2_state
 
 
@@ -137,67 +139,77 @@ class TestLangFirsov:
 class TestExactEvolution:
     def test_zero_time_is_identity(self):
         cfg = single_mode(n_max=3)
-        ham = pd.build_hamiltonian(cfg)
-        psi = FullState.from_site_amplitudes([1.0, 0.0], cfg.bath_dim)
-        out = pd.evolve_exact(psi, ham, 0.0)
-        assert np.allclose(out.amplitudes, psi.amplitudes, atol=1e-14)
+        prop = Propagator(pd.build_hamiltonian(cfg))
+        psi = FullState.from_site_amplitudes([1.0, 0.0], cfg.bath_dim).amplitudes
+        assert np.allclose(prop.evolve(psi, 0.0), psi, atol=1e-14)
 
     def test_eigenstate_only_rotates(self):
         cfg = single_mode(n_max=3)
         ham = pd.build_hamiltonian(cfg)
         w, v = np.linalg.eigh(ham)
-        psi = FullState(amplitudes=v[:, 0], bath_dim=cfg.bath_dim)
-        out = pd.evolve_exact(psi, ham, 0.7)
-        assert abs(abs(np.vdot(psi.amplitudes, out.amplitudes)) - 1.0) < 1e-12
+        psi = FullState(amplitudes=v[:, 0], bath_dim=cfg.bath_dim).amplitudes
+        out = Propagator(ham).evolve(psi, 0.7)
+        assert abs(abs(np.vdot(psi, out)) - 1.0) < 1e-12
 
     def test_half_steps_compose(self):
         cfg = single_mode(n_max=4)
-        ham = pd.build_hamiltonian(cfg)
-        psi = FullState.from_site_amplitudes([np.sqrt(0.3), np.sqrt(0.7)], cfg.bath_dim)
-        one = pd.evolve_exact(psi, ham, 0.8)
-        two = pd.evolve_exact(pd.evolve_exact(psi, ham, 0.4), ham, 0.4)
-        assert np.max(np.abs(one.amplitudes - two.amplitudes)) < 1e-10
+        prop = Propagator(pd.build_hamiltonian(cfg))
+        psi = FullState.from_site_amplitudes([np.sqrt(0.3), np.sqrt(0.7)],
+                                             cfg.bath_dim).amplitudes
+        one = prop.evolve(psi, 0.8)
+        two = prop.evolve(prop.evolve(psi, 0.4), 0.4)
+        assert np.max(np.abs(one - two)) < 1e-10
+        # a time array evolves to every time at once
+        both = prop.evolve(psi, np.array([0.4, 0.8]))
+        assert both.shape == (2, cfg.dim)
+        assert np.max(np.abs(both[1] - one)) < 1e-12
 
     def test_norm_drift_over_many_steps(self):
         cfg = single_mode(n_max=3)
-        ham = pd.build_hamiltonian(cfg)
-        psi = FullState.from_site_amplitudes([1.0, 0.0], cfg.bath_dim)
+        prop = Propagator(pd.build_hamiltonian(cfg))
+        psi = FullState.from_site_amplitudes([1.0, 0.0], cfg.bath_dim).amplitudes
         for _ in range(10_000):
-            psi = pd.evolve_exact(psi, ham, 0.01)
-        assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-9
+            psi = prop.evolve(psi, 0.01)
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
 
     def test_norm_validation(self):
         with pytest.raises(pd.InvariantError):
             FullState(amplitudes=np.ones(8, dtype=complex), bath_dim=4)
 
     def test_rejects_non_hermitian(self):
-        psi = FullState.from_site_amplitudes([1.0, 0.0], 2)
         bad = np.arange(16.0).reshape(4, 4) + 1j
         with pytest.raises(ConfigError, match="Hermitian"):
-            pd.evolve_exact(psi, bad, 0.1)
+            Propagator(bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, value):
+        ham = pd.build_hamiltonian(single_mode(n_max=2))
+        ham[1, 1] = value
+        with pytest.raises(ConfigError, match="finite Hermitian"):
+            Propagator(ham)
 
 
 class TestPulse:
     def test_site_swap(self):
-        psi = FullState.from_site_amplitudes([1.0, 0.0], 4)
-        out = pd.apply_pulse(psi)
-        assert out.amplitudes[4] == 1.0
-        assert np.all(out.amplitudes[:4] == 0.0)
+        psi = FullState.from_site_amplitudes([1.0, 0.0], 4).amplitudes
+        out = _pulse(psi, 4)
+        assert out[4] == 1.0
+        assert np.all(out[:4] == 0.0)
 
     def test_triplet_even_singlet_odd(self):
         r = 1.0 / np.sqrt(2.0)
-        triplet = FullState.from_site_amplitudes([r, r], 3)
-        singlet = FullState.from_site_amplitudes([r, -r], 3)
-        assert np.allclose(pd.apply_pulse(triplet).amplitudes, triplet.amplitudes)
-        assert np.allclose(pd.apply_pulse(singlet).amplitudes, -singlet.amplitudes)
+        triplet = FullState.from_site_amplitudes([r, r], 3).amplitudes
+        singlet = FullState.from_site_amplitudes([r, -r], 3).amplitudes
+        assert np.allclose(_pulse(triplet, 3), triplet)
+        assert np.allclose(_pulse(singlet, 3), -singlet)
 
     def test_involution(self):
         rng = np.random.default_rng(5)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        amps /= np.linalg.norm(amps)
-        psi = FullState(amplitudes=amps, bath_dim=4)
-        out = pd.apply_pulse(pd.apply_pulse(psi))
-        assert np.max(np.abs(out.amplitudes - psi.amplitudes)) < 1e-14
+        amps = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
+        out = _pulse(_pulse(amps, 4), 4)
+        assert np.max(np.abs(out - amps)) < 1e-14
+        # a stack of states is swapped row by row
+        assert np.array_equal(_pulse(amps, 4)[1], _pulse(amps[1], 4))
 
     def test_commutes_with_decoupled_part(self):
         cfg = ohmic_mode_config(n_modes=2, n_max=3, coupling=1.0, s=1.0, j_hop=0.4)
@@ -259,6 +271,39 @@ class TestBangBang:
         report = pd.run_bangbang(cfg, rho0, PulseSchedule(2.0, 8))
         assert 0.0 <= report.results[0].distance_pulsed <= 1.0
         assert report.results[0].distance_pulsed < report.results[0].distance_free
+
+    @pytest.mark.parametrize("cycles", [2, 5])
+    def test_pulse_order_matches_dense_reference(self, cycles):
+        # independent route: dense expm unitaries acting on the mixed
+        # qubit (x) bath-vacuum density matrix; a cycle is U(dt) Pi U(dt) Pi,
+        # so the pulse Pi acts on the state first
+        # s = 2: at the default s = pi both orders give the same distance
+        cfg = ohmic_mode_config(n_modes=2, n_max=3, s=2.0)  # dim 32
+        rho0 = DensityMatrixST(rho_ss=0.6, rho_tt=0.4, rho_st=0.1 + 0.05j)
+        total = 2.0
+        ham = pd.build_hamiltonian(cfg)
+        db = cfg.bath_dim
+        swap = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(db))
+        vacuum = np.zeros((db, db))
+        vacuum[0, 0] = 1.0
+        full0 = np.kron(_ST_FROM_SITE.conj().T @ rho0.matrix() @ _ST_FROM_SITE, vacuum)
+        h_sys = np.array([[cfg.epsilon_onsite, cfg.j_hop], [cfg.j_hop, cfg.epsilon_onsite]])
+        undo = _ST_FROM_SITE @ expm(1j * h_sys * total) @ _ST_FROM_SITE.conj().T
+
+        def distance(u):
+            full = u @ full0 @ u.conj().T
+            rho_site = np.trace(full.reshape(2, db, 2, db), axis1=1, axis2=3)
+            rho = undo @ _ST_FROM_SITE @ rho_site @ _ST_FROM_SITE.conj().T @ undo.conj().T
+            return pd.trace_distance(rho, rho0.matrix())
+
+        u_dt = expm(-1j * ham * total / (2 * cycles))
+        pulsed = np.linalg.matrix_power(u_dt @ swap @ u_dt @ swap, cycles)
+        reversed_order = np.linalg.matrix_power(swap @ u_dt @ swap @ u_dt, cycles)
+        row = pd.run_bangbang(cfg, rho0, PulseSchedule(total, cycles)).results[0]
+        assert abs(row.distance_pulsed - distance(pulsed)) < 1e-12
+        assert abs(row.distance_free - distance(expm(-1j * ham * total))) < 1e-12
+        # the reference tells the two orders apart on this configuration
+        assert abs(distance(reversed_order) - distance(pulsed)) > 5e-3
 
     def test_mismatched_total_times_rejected(self):
         cfg = ohmic_mode_config(n_max=2)
