@@ -39,7 +39,6 @@ from .numerics import (
     dawson,
     dawson_sine,
     integrate_semiinf,
-    ode_step_rk4,
 )
 from .oracle import (
     FullState,

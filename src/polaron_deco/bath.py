@@ -73,9 +73,12 @@ class BathModel:
     geometry_factor: float = 1.0
 
     def __post_init__(self):
-        if self.lambda_g < 0:
+        for name in ("lambda_g", "omega_c", "s", "geometry_factor"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.lambda_g >= 0:
             raise ConfigError(f"lambda_g must be >= 0, got {self.lambda_g}")
-        if self.s < 0:
+        if not self.s >= 0:
             raise ConfigError(f"s must be >= 0, got {self.s}")
         if not self.omega_c > 0:
             raise ConfigError(f"omega_c must be > 0, got {self.omega_c}")

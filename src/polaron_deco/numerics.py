@@ -1,5 +1,5 @@
-"""Numerical primitives: Dawson-type transforms, Gauss-Kronrod quadrature,
-cumulative trapezoid integration and a classical RK4 step.
+"""Numerical primitives: Dawson-type transforms, Gauss-Kronrod quadrature
+and cumulative trapezoid integration.
 
 Everything here is a pure function of its inputs and safe to call
 concurrently. All quantities are dimensionless (energies in units of the
@@ -23,7 +23,6 @@ __all__ = [
     "dawson_sine",
     "integrate_semiinf",
     "cumulative_trapezoid",
-    "ode_step_rk4",
 ]
 
 # Gaussian-decay integrands are below 2e-28 past this point; hard truncation
@@ -271,7 +270,7 @@ def composite_gk15_nodes(omega_max: float, max_oscillation: float):
 
 
 # ---------------------------------------------------------------------------
-# Grid integration and ODE stepping
+# Grid integration
 # ---------------------------------------------------------------------------
 
 def cumulative_trapezoid(samples: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -288,15 +287,3 @@ def cumulative_trapezoid(samples: np.ndarray, grid: TimeGrid) -> np.ndarray:
     out[1:] = np.cumsum(0.5 * (samples[1:] + samples[:-1])) * grid.dt
     return out
 
-
-def ode_step_rk4(state, derivative, t: float, dt: float):
-    """One classical 4th-order Runge-Kutta step; local error O(dt^5).
-
-    derivative(t, state) must be callable at t, t + dt/2 and t + dt.
-    state may be a scalar or ndarray, real or complex.
-    """
-    k1 = derivative(t, state)
-    k2 = derivative(t + 0.5 * dt, state + 0.5 * dt * k1)
-    k3 = derivative(t + 0.5 * dt, state + 0.5 * dt * k2)
-    k4 = derivative(t + dt, state + dt * k3)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

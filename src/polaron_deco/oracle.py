@@ -81,7 +81,10 @@ class TruncatedBathConfig:
             raise ConfigError("at least one bath mode is required")
         if len(g1) != len(freqs) or len(g2) != len(freqs):
             raise ConfigError("couplings must have one entry per mode")
-        if any(w <= 0 for w in freqs):
+        for name in ("mode_freqs", "g_site1", "g_site2", "j_hop", "epsilon_onsite"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not all(w > 0 for w in freqs):
             raise ConfigError(f"mode frequencies must be > 0, got {freqs}")
         if self.n_max < 0:
             raise ConfigError(f"n_max must be >= 0, got {self.n_max}")

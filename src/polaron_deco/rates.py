@@ -136,11 +136,16 @@ def build_rate_table(model: BathModel, j_hop: float, grid: TimeGrid,
     return build_rate_table_from_kernels(kernels, j_hop, j_tilde=j_tilde)
 
 
-def rate_at(table: RateTable, t: float, which: str) -> float:
-    """Linear interpolation of a stored rate column; exact at grid points."""
+def rate_at(table: RateTable, t, which: str):
+    """Linear interpolation of a stored rate column at a time (returns a float)
+    or an array of times (returns an array); exact at grid points."""
     if which not in RATE_FIELDS:
         raise ConfigError(f"unknown rate selector {which!r}")
     pts = table.grid.points
-    if t < -1e-12 or t > pts[-1] + 1e-12:
-        raise ConfigError(f"t={t} outside rate table range [0, {pts[-1]}]")
-    return float(np.interp(t, pts, getattr(table, which)))
+    t = np.asarray(t, dtype=float)
+    slack = 1e-12 * max(1.0, pts[-1])  # t + dt overshoots t_max by round-off
+    if t.size and not (t.min() >= -slack and t.max() <= pts[-1] + slack):
+        raise ConfigError(
+            f"t in [{t.min()}, {t.max()}] outside rate table range [0, {pts[-1]}]")
+    out = np.interp(t, pts, getattr(table, which))
+    return float(out) if out.ndim == 0 else out

@@ -57,6 +57,13 @@ class TestBathModel:
         with pytest.raises(ConfigError):
             BathModel(geometry_factor=0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("lambda_g", np.nan), ("lambda_g", np.inf), ("s", np.nan), ("s", np.inf),
+        ("omega_c", np.inf), ("geometry_factor", np.nan)])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            BathModel(**{field: value})
+
     def test_kernel_zero_special_cases(self):
         assert BathModel(lambda_g=0.0).kernel_zero() == 0.0
         assert BathModel(s=0.0).kernel_zero() == 0.0

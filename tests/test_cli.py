@@ -261,6 +261,16 @@ class TestMain:
         assert record["error"] == "ConfigError"
         assert not (tmp_path / "config_echo.cfg").exists()
 
+    @pytest.mark.parametrize("line", ["rho_ss = nan", "re_rho_st = inf", "im_rho_st = nan"])
+    def test_non_finite_state_exit_code(self, tmp_path, capsys, line):
+        config = tmp_path / "state.cfg"
+        config.write_text(line + "\n")
+        code = cli.main(["single", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert line.split()[0] in record["message"]
+
     def test_non_finite_trajectory_exit_code(self, tmp_path, capsys):
         # exp(K_c) overflows at this coupling and the rates turn NaN
         with np.errstate(over="ignore", invalid="ignore"):

@@ -10,13 +10,21 @@ from polaron_deco import (
     TimeGrid,
     ZeroCoherenceError,
 )
+from polaron_deco.dynamics import _rk4_run
 from conftest import fig2_state
+from rk4_reference import rk4_step_loop
 
 
 @pytest.fixture(scope="module")
 def table_s1():
     grid = TimeGrid(t_max=10.0, dt=0.01)
     return pd.build_rate_table(BathModel(lambda_g=1.0, s=1.0), 1.0, grid)
+
+
+@pytest.fixture(scope="module")
+def fast_tables(fast_grid):
+    return {s: pd.build_rate_table(BathModel(lambda_g=1.0, s=s), 1.0, fast_grid)
+            for s in (1.0, 10.0)}
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +50,12 @@ class TestDensityMatrixST:
     def test_positivity(self):
         with pytest.raises(ConfigError):
             DensityMatrixST.from_parts(0.5, 0.9)
+
+    @pytest.mark.parametrize("rho_ss,rho_st", [
+        (np.nan, 0.1), (0.5, np.nan), (0.5, complex(0.1, np.inf)), (np.inf, 0.0)])
+    def test_non_finite_rejected(self, rho_ss, rho_st):
+        with pytest.raises(ConfigError, match="finite"):
+            DensityMatrixST.from_parts(rho_ss, rho_st)
 
     def test_matrix_layout(self):
         st = DensityMatrixST.from_parts(0.25, 0.1 + 0.2j)
@@ -111,6 +125,30 @@ class TestEvolvers:
         gap = traj.rho_tt - traj.rho_ss
         expected = (rho0.rho_tt - rho0.rho_ss) * np.exp(-2.0 * table_s1.cum_gamma0)
         assert np.max(np.abs(gap - expected)) < 1e-12
+
+    @pytest.mark.parametrize("s", [1.0, 10.0])
+    @pytest.mark.parametrize("state", [
+        (2.0 / 3.0, np.sqrt(2.0) / 3.0), (0.8, 0.1 - 0.2j), (1.0, 0j)])
+    def test_product_form_matches_step_loop(self, fast_tables, s, state):
+        # the amplification-factor product is RK4 itself, not a new scheme:
+        # it must reproduce the step-by-step loop to round-off at dt and dt/2
+        rho0 = DensityMatrixST.from_parts(*state)
+        table = fast_tables[s]
+        loop = rk4_step_loop(rho0, table, refine=1)
+        traj = pd.evolve_ode(rho0, table)
+        assert np.max(np.abs(traj.rho_ss - loop[:, 0])) <= 1e-13
+        assert np.max(np.abs(traj.rho_st - (loop[:, 1] - 1j * loop[:, 2]))) <= 1e-13
+        fine = _rk4_run(rho0, table, refine=2)
+        assert np.max(np.abs(fine - rk4_step_loop(rho0, table, refine=2))) <= 1e-13
+
+    def test_long_grid_end_time_in_range(self):
+        # the last step ends at points[-2] + dt, one ulp (3.6e-12) past
+        # t_max here; the range check must scale with t_max
+        grid = TimeGrid(t_max=20000.0, dt=0.2)
+        table = pd.build_rate_table_from_kernels(
+            pd.kernel_table_from_modes([1.0], [0.0], grid), 1.0)
+        traj = pd.evolve_ode(fig2_state(), table)
+        assert traj.rho_ss[-1] == fig2_state().rho_ss
 
     def test_self_check_catches_unstable_grid(self):
         # rates far too stiff for the step size must trip the halving check

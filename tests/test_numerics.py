@@ -12,9 +12,9 @@ from polaron_deco import (
     dawson,
     dawson_sine,
     integrate_semiinf,
-    ode_step_rk4,
 )
 from polaron_deco.numerics import _dawson_asymptotic, _dawson_comb, _dawson_series
+from rk4_reference import ode_step_rk4
 
 
 def sine_transform_quadrature(z):

@@ -34,6 +34,17 @@ class TestConfig:
             TruncatedBathConfig(mode_freqs=(0.0,), g_site1=(0.1,), g_site2=(0.0,),
                                 n_max=2, j_hop=1.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("mode_freqs", (np.nan,)), ("mode_freqs", (np.inf,)), ("g_site1", (np.inf,)),
+        ("g_site2", (complex(0.1, np.nan),)), ("j_hop", np.nan),
+        ("epsilon_onsite", np.inf)])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = dict(mode_freqs=(1.0,), g_site1=(0.1,), g_site2=(0.0,),
+                      n_max=2, j_hop=1.0)
+        kwargs[field] = value
+        with pytest.raises(ConfigError, match=field):
+            TruncatedBathConfig(**kwargs)
+
     def test_coupling_length_mismatch(self):
         with pytest.raises(ConfigError):
             TruncatedBathConfig(mode_freqs=(1.0, 2.0), g_site1=(0.1,),

@@ -140,3 +140,24 @@ class TestRateAt:
     def test_unknown_selector(self, table_s1):
         with pytest.raises(ConfigError):
             pd.rate_at(table_s1, 1.0, "gamma_three")
+
+    def test_array_matches_scalar_calls(self, table_s1):
+        t = np.array([[0.0, 0.0025, 1.234], [5.0, 9.9975, 10.0]])
+        out = pd.rate_at(table_s1, t, "cap_gamma0")
+        assert out.shape == t.shape
+        expected = [pd.rate_at(table_s1, float(v), "cap_gamma0") for v in t.ravel()]
+        assert np.array_equal(out.ravel(), expected)
+        assert pd.rate_at(table_s1, np.array([]), "beta").shape == (0,)
+
+    @pytest.mark.parametrize("bad", [-0.5, 11.0, np.nan])
+    def test_array_with_one_bad_element(self, table_s1, bad):
+        t = np.linspace(0.0, 10.0, 7)
+        t[3] = bad
+        with pytest.raises(ConfigError, match="outside"):
+            pd.rate_at(table_s1, t, "gamma_plus")
+
+    def test_scalar_returns_float(self, table_s1):
+        k = 321
+        out = pd.rate_at(table_s1, table_s1.grid.points[k], "cap_gamma2")
+        assert type(out) is float
+        assert out == table_s1.cap_gamma2[k]
