@@ -10,6 +10,11 @@ Everything is restricted to the single-particle sector (plus an optional
 two-particle block for the induced interaction check), so the Hilbert space
 is 2 * (n_max + 1)^n_modes and dense eigendecomposition is cheap.
 
+Operators are filled from one occupation table of the bath basis (mode 0
+slowest, the Kronecker order): H_bath is a diagonal, and each coupling or
+displacement writes a * sqrt(n_k) at one lowered index pair per mode and
+basis state, with its adjoint at the mirror position.
+
 Every exp(-i H t) below comes from one Propagator (the eigendecomposition
 of H, built once per Hamiltonian) applied to state vectors; pi pulses are
 O(dim) site-index reversals, never dense unitaries.
@@ -161,29 +166,38 @@ def ohmic_mode_config(n_modes: int = 2, n_max: int = 6, coupling: float = 1.0,
 # Operators
 # ---------------------------------------------------------------------------
 
-def _annihilator(n_max: int) -> np.ndarray:
-    b = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    for n in range(1, n_max + 1):
-        b[n - 1, n] = math.sqrt(n)
-    return b
+def _bath_ladders(config: TruncatedBathConfig):
+    """Occupation table of the bath basis and the ladder of every mode.
 
-
-def _mode_annihilators(config: TruncatedBathConfig):
+    Basis index idx = sum_k n_k * stride_k, mode 0 slowest (Kronecker order).
+    Returns occ[k, idx] = n_k and, per mode, the indices with n_k >= 1, their
+    lowered indices idx - stride_k and sqrt(n_k):
+    b_k |idx> = sqrt(n_k) |idx - stride_k>.
+    """
     d = config.n_max + 1
-    eye = np.eye(d)
-    ops = []
-    for k in range(config.n_modes):
-        mats = [eye] * config.n_modes
-        mats[k] = _annihilator(config.n_max)
-        full = mats[0]
-        for m in mats[1:]:
-            full = np.kron(full, m)
-        ops.append(full)
-    return ops
+    strides = d ** np.arange(config.n_modes - 1, -1, -1)
+    occ = np.arange(config.bath_dim) // strides[:, None] % d
+    ladders = []
+    for n, stride in zip(occ, strides):
+        up = np.flatnonzero(n)
+        ladders.append((up, up - stride, np.sqrt(n[up])))
+    return occ, ladders
 
 
-def _bath_hamiltonian(config: TruncatedBathConfig, b_ops) -> np.ndarray:
-    return sum(w * (b.conj().T @ b) for w, b in zip(config.mode_freqs, b_ops))
+def _fill(mat: np.ndarray, ladders, particles: int, site_amps,
+          adjoint_sign: float = 1.0) -> None:
+    """mat += sum_{p,k} n_p (a_pk b_k + adjoint_sign * conj(a_pk) b_k^dag), in place.
+
+    site_amps = (a_1k, a_2k). In the one-particle block, n_p selects site p's
+    diagonal bath block of mat; in the two-particle block both sites act on
+    all of mat.
+    """
+    db = len(mat) // 2
+    blocks = (mat, mat) if particles == 2 else (mat[:db, :db], mat[db:, db:])
+    for block, amps in zip(blocks, site_amps):
+        for (up, down, root), a in zip(ladders, amps):
+            block[down, up] += a * root
+            block[up, down] += adjoint_sign * np.conj(a) * root
 
 
 def build_hamiltonian(config: TruncatedBathConfig, particles: int = 1) -> np.ndarray:
@@ -195,50 +209,34 @@ def build_hamiltonian(config: TruncatedBathConfig, particles: int = 1) -> np.nda
     and both couplings add. particles=0: bare bath block.
 
     Block diagonality in total fermion number is structural (each block is
-    built separately); Hermiticity holds to machine precision.
+    built separately); Hermiticity is exact (mirror entries are conjugates).
     """
-    b_ops = _mode_annihilators(config)
-    hb = _bath_hamiltonian(config, b_ops)
-    db = config.bath_dim
-    couple = []
-    for p, gs in ((0, config.g_site1), (1, config.g_site2)):
-        op = np.zeros((db, db), dtype=complex)
-        for g, b in zip(gs, b_ops):
-            op += g * b + np.conj(g) * b.conj().T
-        couple.append(op)
-
-    if particles == 0:
-        return hb
-    if particles == 2:
-        return (2.0 * config.epsilon_onsite) * np.eye(db) + hb + couple[0] + couple[1]
-    if particles != 1:
+    if particles not in (0, 1, 2):
         raise ConfigError(f"particles must be 0, 1 or 2, got {particles}")
-
-    eye_b = np.eye(db)
-    h_sys = np.array([[config.epsilon_onsite, config.j_hop],
-                      [config.j_hop, config.epsilon_onsite]], dtype=complex)
-    ham = np.kron(h_sys, eye_b) + np.kron(np.eye(2), hb)
-    ham += np.kron(np.diag([1.0, 0.0]), couple[0])
-    ham += np.kron(np.diag([0.0, 1.0]), couple[1])
+    occ, ladders = _bath_ladders(config)
+    h_bath = sum(w * n for w, n in zip(config.mode_freqs, occ))
+    diag = particles * config.epsilon_onsite + h_bath
+    ham = np.diag(np.tile(diag, 2 if particles == 1 else 1).astype(complex))
+    if particles == 1:
+        r = np.arange(config.bath_dim)
+        ham[r, r + config.bath_dim] = ham[r + config.bath_dim, r] = config.j_hop
+    if particles:
+        _fill(ham, ladders, particles, (config.g_site1, config.g_site2))
     return ham
 
 
 def lang_firsov_generator(config: TruncatedBathConfig, particles: int = 1) -> np.ndarray:
     """Anti-Hermitian generator of the displacement transformation,
     S = -sum_{p,k} n_p (g_pk b_k - g_pk^* b_k^dag) / omega_k, in one block."""
-    b_ops = _mode_annihilators(config)
-    db = config.bath_dim
-    disp = []
-    for gs in (config.g_site1, config.g_site2):
-        op = np.zeros((db, db), dtype=complex)
-        for g, w, b in zip(gs, config.mode_freqs, b_ops):
-            op += (g / w) * b - (np.conj(g) / w) * b.conj().T
-        disp.append(op)
-    if particles == 2:
-        return -(disp[0] + disp[1])
-    if particles != 1:
+    if particles not in (1, 2):
         raise ConfigError(f"particles must be 1 or 2, got {particles}")
-    return -(np.kron(np.diag([1.0, 0.0]), disp[0]) + np.kron(np.diag([0.0, 1.0]), disp[1]))
+    _, ladders = _bath_ladders(config)
+    dim = config.dim if particles == 1 else config.bath_dim
+    gen = np.zeros((dim, dim), dtype=complex)
+    amps = [[-g / w for g, w in zip(gs, config.mode_freqs)]
+            for gs in (config.g_site1, config.g_site2)]
+    _fill(gen, ladders, particles, amps, adjoint_sign=-1.0)
+    return gen
 
 
 class Propagator:

@@ -12,14 +12,39 @@ from polaron_deco import (
     TimeGrid,
     TruncatedBathConfig,
 )
-from polaron_deco.oracle import _ST_FROM_SITE, _pulse, ohmic_mode_config
+from polaron_deco.oracle import (
+    _ST_FROM_SITE,
+    _pulse,
+    lang_firsov_generator,
+    ohmic_mode_config,
+)
 from conftest import fig2_state
+from kron_reference import kron_generator, kron_hamiltonian
 
 
 def single_mode(alpha=0.5, n_max=12, j_hop=1.0, eps=0.0, omega=1.0):
     return TruncatedBathConfig(
         mode_freqs=(omega,), g_site1=(alpha * omega,), g_site2=(0.0,),
         n_max=n_max, j_hop=j_hop, epsilon_onsite=eps)
+
+
+# configs on which the occupation-table operators meet the Kronecker builds
+KRON_CONFIGS = {
+    "complex-asymmetric": lambda: TruncatedBathConfig(
+        mode_freqs=(0.9, 2.3), g_site1=(0.3 + 0.1j, 0.05), g_site2=(0.2, 0.1 - 0.2j),
+        n_max=3, j_hop=0.7, epsilon_onsite=0.1),
+    "g_site2-zero": lambda: TruncatedBathConfig(
+        mode_freqs=(1.0, 1.6), g_site1=(0.5, 0.2 - 0.3j), g_site2=(0.0, 0.0),
+        n_max=4, j_hop=0.4, epsilon_onsite=-0.3),
+    "n_max-zero": lambda: TruncatedBathConfig(
+        mode_freqs=(1.0, 2.0), g_site1=(0.5, 0.2j), g_site2=(0.5, 0.1),
+        n_max=0, j_hop=0.4, epsilon_onsite=0.2),
+    "one-mode-n_max-10": lambda: TruncatedBathConfig(
+        mode_freqs=(1.3,), g_site1=(0.4 - 0.2j,), g_site2=(0.1j,), n_max=10,
+        j_hop=0.5, epsilon_onsite=0.25),
+    "ohmic-3x7": lambda: ohmic_mode_config(n_modes=3, n_max=7, coupling=0.1),
+    "ohmic-4x4": lambda: ohmic_mode_config(n_modes=4, n_max=4),
+}
 
 
 class TestConfig:
@@ -97,6 +122,28 @@ class TestHamiltonian:
     def test_invalid_sector(self):
         with pytest.raises(ConfigError):
             pd.build_hamiltonian(single_mode(), particles=3)
+
+    def test_generator_invalid_sector(self):
+        with pytest.raises(ConfigError, match="particles"):
+            lang_firsov_generator(single_mode(), particles=0)
+
+    @pytest.mark.parametrize("particles", [0, 1, 2])
+    @pytest.mark.parametrize("name", list(KRON_CONFIGS))
+    def test_matches_kron_reference(self, name, particles):
+        cfg = KRON_CONFIGS[name]()
+        ham = pd.build_hamiltonian(cfg, particles)
+        ref = kron_hamiltonian(cfg, particles)
+        assert ham.shape == ref.shape
+        assert np.max(np.abs(ham - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("particles", [1, 2])
+    @pytest.mark.parametrize("name", list(KRON_CONFIGS))
+    def test_generator_matches_kron_reference(self, name, particles):
+        cfg = KRON_CONFIGS[name]()
+        gen = lang_firsov_generator(cfg, particles)
+        ref = kron_generator(cfg, particles)
+        assert gen.shape == ref.shape
+        assert np.max(np.abs(gen - ref)) <= 1e-13
 
 
 class TestLangFirsov:
