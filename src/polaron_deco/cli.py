@@ -1,13 +1,17 @@
 """Experiment orchestration and command-line entry point.
 
 Configuration is a flat ``key = value`` file (``#`` comments) merged with
-command-line flags; flags win. Every run writes the fully resolved
-configuration next to its outputs, and re-running from that echo reproduces
-the outputs byte for byte.
+command-line flags; flags win. The fields of ``ExperimentConfig`` are the
+only key list: the value parsers come from their defaults' types and the
+flags from one ``(flag, key, help)`` table. A key that an older release
+accepted (``_REMOVED_KEYS``) is a configuration error, never ignored. Every
+run writes the fully resolved configuration next to its outputs, and
+re-running from that echo reproduces the outputs byte for byte.
 
 Verbs: single, sweep-s, sweep-lambda, effective-hopping, bangbang,
 oracle-compare, selftest. Exit codes: 0 ok, 2 configuration error,
-3 numerical failure, 4 invariant violation.
+3 numerical failure, 4 invariant violation; every failure also writes a
+JSON error record to stderr.
 """
 
 from __future__ import annotations
@@ -33,14 +37,6 @@ MODES = ("single", "sweep-s", "sweep-lambda", "effective-hopping",
 ENV_OUT_DIR = "POLARON_DECO_OUT"
 
 
-def _parse_float_list(text):
-    return tuple(float(p) for p in str(text).split(","))
-
-
-def _parse_int_list(text):
-    return tuple(int(p) for p in str(text).split(","))
-
-
 def _parse_bool(text):
     t = str(text).strip().lower()
     if t in ("1", "true", "yes", "on"):
@@ -55,8 +51,6 @@ class ExperimentConfig:
     mode: str = "single"
     lambda_g: float = 1.0
     s: float = 1.0
-    omega_c: float = 1.0
-    geometry_factor: float = 1.0
     j_hop: float = 1.0
     t_max: float = 50.0
     dt: float = 0.005
@@ -71,8 +65,6 @@ class ExperimentConfig:
     total_time: float = 4.0
     out_dir: str = ""
     svg: bool = False
-    jobs: int = 0
-    seed: int = 0
 
     def validate(self) -> "ExperimentConfig":
         if self.mode not in MODES:
@@ -93,10 +85,8 @@ class ExperimentConfig:
             raise ConfigError(f"cycles must all be >= 1, got {self.cycles}")
         if not self.total_time > 0:
             raise ConfigError(f"total_time must be > 0, got {self.total_time}")
-        if self.jobs < 0:
-            raise ConfigError(f"jobs must be >= 0, got {self.jobs}")
-        if not self.s_values or not self.lambda_values:
-            raise ConfigError("sweep value lists must not be empty")
+        if not (self.s_values and self.lambda_values and self.cycles):
+            raise ConfigError("s_values, lambda_values and cycles must not be empty")
         return self
 
     def initial_state(self) -> dynamics.DensityMatrixST:
@@ -107,9 +97,7 @@ class ExperimentConfig:
     def bath_model(self, s=None, lambda_g=None) -> bath.BathModel:
         return bath.BathModel(
             lambda_g=self.lambda_g if lambda_g is None else lambda_g,
-            omega_c=self.omega_c,
             s=self.s if s is None else s,
-            geometry_factor=self.geometry_factor,
         )
 
     def grid(self) -> numerics.TimeGrid:
@@ -121,19 +109,25 @@ class ExperimentConfig:
             s=self.s, j_hop=self.j_hop,
         )
 
-    def worker_count(self) -> int:
-        return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
+
+def _field_parser(default):
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, tuple):
+        item = type(default[0])
+        return lambda text: tuple(item(p) for p in str(text).split(","))
+    return type(default)
 
 
-_KEY_PARSERS = {
-    "mode": str,
-    "lambda_g": float, "s": float, "omega_c": float, "geometry_factor": float,
-    "j_hop": float, "t_max": float, "dt": float,
-    "rho_ss": float, "re_rho_st": float, "im_rho_st": float,
-    "s_values": _parse_float_list, "lambda_values": _parse_float_list,
-    "n_modes": int, "n_max": int, "cycles": _parse_int_list,
-    "total_time": float,
-    "out_dir": str, "svg": _parse_bool, "jobs": int, "seed": int,
+_KEY_PARSERS = {f.name: _field_parser(f.default) for f in fields(ExperimentConfig)}
+
+# keys older releases accepted; ignoring e.g. omega_c = 2.0 would silently
+# change the physics, so naming one is an error that says what to do instead
+_REMOVED_KEYS = {
+    "omega_c": "rescale instead: lambda_g*W^2, s*W, j_hop/W, t_max*W, dt*W",
+    "geometry_factor": "multiply it into lambda_g instead",
+    "jobs": "the sweep uses one worker per core; delete the line",
+    "seed": "it was never read; delete the line",
 }
 
 # mode-specific defaults applied before file and flag overrides
@@ -142,6 +136,17 @@ _MODE_DEFAULTS = {
     "oracle-compare": {"lambda_g": 0.1, "j_hop": 0.1, "t_max": 10.0,
                        "dt": 0.0125, "n_max": 5},
 }
+
+
+def _parse_value(key, val, where):
+    if key in _REMOVED_KEYS:
+        raise ConfigError(f"{where}: key {key!r} was removed; {_REMOVED_KEYS[key]}")
+    if key not in _KEY_PARSERS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    try:
+        return _KEY_PARSERS[key](val)
+    except (ValueError, TypeError):
+        raise ConfigError(f"{where}: invalid value for {key!r}: {val!r}") from None
 
 
 def _parse_config_text(text):
@@ -154,15 +159,7 @@ def _parse_config_text(text):
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        val = val.strip()
-        if key not in _KEY_PARSERS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = _KEY_PARSERS[key](val)
-        except (ValueError, TypeError):
-            raise ConfigError(
-                f"line {lineno}: invalid value for {key!r}: {val!r}"
-            ) from None
+        values[key] = _parse_value(key, val.strip(), f"line {lineno}")
     return values
 
 
@@ -174,16 +171,8 @@ def parse_config(file_text=None, flags=None, mode=None) -> ExperimentConfig:
     flag-level override of any ``mode`` key in the file.
     """
     file_values = _parse_config_text(file_text) if file_text else {}
-    flag_values = {}
-    for key, val in (flags or {}).items():
-        if val is None:
-            continue
-        if key not in _KEY_PARSERS:
-            raise ConfigError(f"unknown flag key {key!r}")
-        try:
-            flag_values[key] = _KEY_PARSERS[key](val)
-        except (ValueError, TypeError):
-            raise ConfigError(f"invalid value for flag {key!r}: {val!r}") from None
+    flag_values = {key: _parse_value(key, val, "flag")
+                   for key, val in (flags or {}).items() if val is not None}
 
     resolved_mode = mode or flag_values.get("mode") or file_values.get("mode") \
         or "single"
@@ -193,14 +182,7 @@ def parse_config(file_text=None, flags=None, mode=None) -> ExperimentConfig:
     merged["mode"] = resolved_mode
     if not merged.get("out_dir"):
         merged["out_dir"] = os.environ.get(ENV_OUT_DIR, "out")
-
-    known = {f.name for f in fields(ExperimentConfig)}
-    merged = {k: v for k, v in merged.items() if k in known}
-    try:
-        config = ExperimentConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
-    return config.validate()
+    return ExperimentConfig(**merged).validate()
 
 
 def _format_value(v):
@@ -249,7 +231,7 @@ def _run_single(config):
 
 
 def _run_sweep(config, values, label):
-    with ThreadPoolExecutor(max_workers=config.worker_count()) as pool:
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         futures = [
             pool.submit(_trajectory_for, config,
                         s_value=v if label == "s" else None,
@@ -393,7 +375,11 @@ def run_experiment(config: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 def selftest(out=None) -> bool:
-    """Fast internal consistency checks; prints one PASS/FAIL line each."""
+    """Fast internal consistency checks; prints one PASS/FAIL line each.
+
+    On failure an InvariantError record naming the failed checks also goes
+    to stderr, as for any other exit 4.
+    """
     out = out if out is not None else sys.stdout
     checks = []
 
@@ -464,24 +450,34 @@ def selftest(out=None) -> bool:
     check("lang-firsov", _lang_firsov)
     check("determinism", _determinism)
 
-    ok = True
     for name, passed, detail in checks:
         status = "PASS" if passed else "FAIL"
         suffix = f" ({detail})" if detail else ""
         print(f"SELFTEST {name}: {status}{suffix}", file=out)
-        ok = ok and passed
-    return ok
+    failed = [name for name, passed, _ in checks if not passed]
+    if failed:
+        print(_error_record(InvariantError(f"selftest failed: {', '.join(failed)}")),
+              file=sys.stderr)
+    return not failed
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
-_FLAG_TO_KEY = {
-    "s": "s", "lam": "lambda_g", "j": "j_hop", "tmax": "t_max", "dt": "dt",
-    "out": "out_dir", "jobs": "jobs", "modes": "n_modes", "nmax": "n_max",
-    "cycles": "cycles", "svg": "svg",
-}
+# (flag, key, help); every verb takes each of these plus --config
+_FLAGS = (
+    ("--out", "out_dir", f"output directory (default ${ENV_OUT_DIR} or ./out)"),
+    ("--s", "s", "scattering scale, or comma list for sweeps"),
+    ("--lambda", "lambda_g", "effective coupling, or comma list for sweeps"),
+    ("--j", "j_hop", "bare hopping"),
+    ("--tmax", "t_max", "grid end time"),
+    ("--dt", "dt", "grid spacing"),
+    ("--svg", "svg", "also emit SVG charts"),
+    ("--modes", "n_modes", "number of discretized bath modes"),
+    ("--nmax", "n_max", "Fock cutoff per mode"),
+    ("--cycles", "cycles", "comma list of pulse cycle counts"),
+)
 
 
 def _build_parser():
@@ -493,35 +489,27 @@ def _build_parser():
     for verb in MODES + ("selftest",):
         p = sub.add_parser(verb)
         p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--out", help="output directory "
-                                     f"(default ${ENV_OUT_DIR} or ./out)")
-        p.add_argument("--s", help="scattering scale, or comma list for sweeps")
-        p.add_argument("--lambda", dest="lam", help="effective coupling")
-        p.add_argument("--j", help="bare hopping")
-        p.add_argument("--tmax", help="grid end time")
-        p.add_argument("--dt", help="grid spacing")
-        p.add_argument("--svg", action="store_true", default=None,
-                       help="also emit SVG charts")
-        p.add_argument("--jobs", help="worker pool size (default: all cores)")
-        p.add_argument("--modes", help="number of discretized bath modes")
-        p.add_argument("--nmax", help="Fock cutoff per mode")
-        p.add_argument("--cycles", help="comma list of pulse cycle counts")
+        for flag, key, help_text in _FLAGS:
+            if _KEY_PARSERS[key] is _parse_bool:
+                p.add_argument(flag, dest=key, action="store_true", default=None,
+                               help=help_text)
+            else:
+                p.add_argument(flag, dest=key, help=help_text)
     return parser
 
 
 def _flags_from_args(args) -> dict:
-    flags = {}
-    for attr, key in _FLAG_TO_KEY.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            flags[key] = val
+    flags = {key: getattr(args, key) for _, key, _ in _FLAGS
+             if getattr(args, key) is not None}
     # comma lists on --s / --lambda feed the sweep value lists instead
-    for attr, list_key in (("s", "s_values"), ("lam", "lambda_values")):
-        val = getattr(args, attr, None)
-        if val is not None and "," in str(val):
-            flags.pop(_FLAG_TO_KEY[attr], None)
-            flags[list_key] = val
+    for key, list_key in (("s", "s_values"), ("lambda_g", "lambda_values")):
+        if "," in str(flags.get(key, "")):
+            flags[list_key] = flags.pop(key)
     return flags
+
+
+def _error_record(exc) -> str:
+    return json.dumps({"error": type(exc).__name__, "message": str(exc)})
 
 
 def main(argv=None) -> int:
@@ -541,8 +529,7 @@ def main(argv=None) -> int:
                               mode=args.verb)
         written = run_experiment(config)
     except PolaronDecoError as exc:
-        record = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(record), file=sys.stderr)
+        print(_error_record(exc), file=sys.stderr)
         if isinstance(exc, ConfigError):
             return 2
         if isinstance(exc, NumericalError):

@@ -155,7 +155,9 @@ def test_criterion_10_exact_vs_master_equation():
         assert comp.rms_coherence_diff <= 0.1, comp.rms_coherence_diff
 
 
-def test_criterion_11_deterministic_outputs(tmp_path):
+def test_criterion_11_deterministic_outputs(tmp_path, monkeypatch):
+    # the sweep pool runs more than one worker even on a 1-core runner
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     with criterion(11, "byte-identical CSVs across repeated runs"):
         payloads = []
         for label in ("a", "b"):
@@ -163,7 +165,7 @@ def test_criterion_11_deterministic_outputs(tmp_path):
             for mode, extra in (("sweep-s", {"t_max": "2", "dt": "0.01"}),
                                 ("effective-hopping", {})):
                 cfg = cli.parse_config(mode=mode, flags={
-                    "out_dir": str(out / mode), "jobs": "4", **extra})
+                    "out_dir": str(out / mode), **extra})
                 cli.run_experiment(cfg)
             blobs = {}
             for sub in sorted((out).rglob("*.csv")):

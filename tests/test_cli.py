@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,6 +65,12 @@ class TestParseConfig:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError, match="mode"):
             cli.parse_config(file_text="mode = warp\n")
+
+    @pytest.mark.parametrize("key", ["s_values", "lambda_values", "cycles"])
+    def test_empty_list_rejected(self, key):
+        # an empty list would echo as "key = ", which does not parse back
+        with pytest.raises(ConfigError, match=key):
+            replace(cli.parse_config(), **{key: ()}).validate()
 
     def test_env_default_out_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path / "envout"))
@@ -157,10 +164,15 @@ class TestRunExperiment:
 
 
 class TestDeterminism:
+    @pytest.fixture(autouse=True)
+    def _four_workers(self, monkeypatch):
+        # the sweep pool runs more than one worker even on a 1-core runner
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+
     def _run(self, out_dir, mode="sweep-s"):
         cfg = cli.parse_config(mode=mode, flags={"out_dir": str(out_dir),
                                                  "t_max": "2", "dt": "0.01",
-                                                 "s_values": "1,10", "jobs": "4"})
+                                                 "s_values": "1,10"})
         files = cli.run_experiment(cfg)
         return {os.path.basename(p): open(p, "rb").read()
                 for p in files if p.endswith(".csv")}
@@ -231,6 +243,22 @@ class TestMain:
         assert code == 0
         assert (tmp_path / "envout" / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("key", ["omega_c", "geometry_factor", "jobs", "seed"])
+    def test_removed_key_exit_code(self, tmp_path, capsys, key):
+        config = tmp_path / "old.cfg"
+        config.write_text(f"s = 1\n{key} = 2\n")
+        code = cli.main(["single", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert f"line 2: key '{key}' was removed" in record["message"]
+        assert not (tmp_path / "config_echo.cfg").exists()
+
+    def test_removed_jobs_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["sweep-s", "--jobs", "2", "--out", str(tmp_path)])
+        assert info.value.code == 2
+
     @pytest.mark.parametrize("exc,expected", [
         (cli.NumericalError("quadrature stalled"), 3),
         (cli.InvariantError("state went negative"), 4),
@@ -289,3 +317,12 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert out.count("PASS") >= 6
         assert "FAIL" not in out
+
+    def test_selftest_failure_writes_error_record(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.numerics, "dawson_sine", lambda z: 0.0)
+        assert cli.main(["selftest"]) == 4
+        captured = capsys.readouterr()
+        assert "SELFTEST dawson-vs-quadrature: FAIL" in captured.out
+        record = json.loads(captured.err.strip())
+        assert record == {"error": "InvariantError",
+                          "message": "selftest failed: dawson-vs-quadrature"}
