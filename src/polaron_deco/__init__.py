@@ -41,7 +41,6 @@ from .numerics import (
     integrate_semiinf,
 )
 from .oracle import (
-    FullState,
     Propagator,
     PulseSchedule,
     TruncatedBathConfig,

@@ -16,14 +16,24 @@ displacement writes a * sqrt(n_k) at one lowered index pair per mode and
 basis state, with its adjoint at the mirror position.
 
 Every exp(-i H t) below comes from one Propagator (the eigendecomposition
-of H, built once per Hamiltonian) applied to state vectors; pi pulses are
-O(dim) site-index reversals, never dense unitaries.
+of H, built once per Hamiltonian) applied to state vectors; pi pulses act on
+eigen-coefficients through V^dag Pi V, built once per run.
 
-Frames: evolution is carried out in the lab (Schroedinger) frame with the
-full Hamiltonian. Reported reduced states have the ideal system-only
-rotation exp(-i H_S t) undone, so a perfectly protected qubit returns
-exactly to its initial state; the site-swap pulse commutes with H_S, which
-makes that rotation well defined with or without pulses.
+Frames: when |g_1k| = |g_2k| for every mode (every ohmic_mode_config), the
+antiunitary (site swap) x (complex conjugation) commutes with H after the
+bath gauge b_k -> e^{i theta_k} b_k, theta_k = -(arg g_1k + arg g_2k)/2,
+which makes g_2k = conj(g_1k) (Dyson, J. Math. Phys. 3, 1199 (1962)). In
+the basis u_n = (|1,n> + |2,n>)/sqrt2, v_n = i(|1,n> - |2,n>)/sqrt2, H is
+then the real symmetric [[Re A + J, -Im A], [Im A, Re A - J]] (A the gauged
+site-1 block), eigh and propagation run in real arithmetic, and the pi pulse
+is diag(I, -I). The gauge acts on the bath alone, so it leaves the vacuum
+and every reduced state unchanged; only a 2x2 map on the site index is
+applied, at the two ends. Other configurations propagate the same way in
+the lab (site) basis with complex H, where the pulse is the site swap.
+Reported reduced states have the ideal system-only rotation exp(-i H_S t)
+undone, so a perfectly protected qubit returns exactly to its initial
+state; the site-swap pulse commutes with H_S, which makes that rotation
+well defined with or without pulses.
 """
 
 from __future__ import annotations
@@ -41,7 +51,6 @@ from .rates import build_rate_table_from_kernels
 
 __all__ = [
     "TruncatedBathConfig",
-    "FullState",
     "PulseSchedule",
     "ohmic_mode_config",
     "build_hamiltonian",
@@ -239,8 +248,24 @@ def lang_firsov_generator(config: TruncatedBathConfig, particles: int = 1) -> np
     return gen
 
 
+def _matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a @ m; a complex a times a real m is one real GEMM on the stacked real
+    and imaginary parts of a, not a complex GEMM on a complex copy of m."""
+    if np.iscomplexobj(m) or not np.iscomplexobj(a):
+        return a @ m
+    rows = a.reshape(-1, a.shape[-1])
+    parts = np.concatenate([rows.real, rows.imag]) @ m
+    out = np.empty((len(rows), m.shape[-1]), dtype=complex)
+    out.real, out.imag = parts[:len(rows)], parts[len(rows):]
+    return out.reshape(a.shape[:-1] + m.shape[-1:])
+
+
 class Propagator:
-    """exp(-i H t) for one Hermitian H, held as its eigendecomposition."""
+    """exp(-i H t) for one Hermitian H, held as its eigendecomposition H = V E V^dag.
+
+    A real (symmetric) H gives a real V, and every product with V is then a
+    real GEMM; the dtype of H decides, not its values.
+    """
 
     def __init__(self, ham: np.ndarray):
         ham = np.asarray(ham)
@@ -253,6 +278,18 @@ class Propagator:
             )
         self.energies, self.vectors = np.linalg.eigh(ham)
 
+    def coefficients(self, psi: np.ndarray) -> np.ndarray:
+        """Eigen-coefficients V^dag psi of states along the last axis."""
+        return _matmul(np.asarray(psi).conj(), self.vectors).conj()  # no copy of V
+
+    def states(self, coeffs: np.ndarray) -> np.ndarray:
+        """State vectors V c of eigen-coefficients along the last axis."""
+        return _matmul(coeffs, self.vectors.T)
+
+    def phases(self, t) -> np.ndarray:
+        """exp(-i E t), shape np.shape(t) + (dim,)."""
+        return np.exp(-1j * np.multiply.outer(t, self.energies))
+
     def evolve(self, psi: np.ndarray, t) -> np.ndarray:
         """exp(-i H t) psi for states along the last axis of psi.
 
@@ -261,9 +298,8 @@ class Propagator:
         """
         psi = np.asarray(psi)
         t = np.asarray(t, dtype=float)
-        coeffs = (psi.conj() @ self.vectors).conj()  # V^dag psi, no copy of V
-        phases = np.exp(-1j * t.reshape(t.shape + (1,) * psi.ndim) * self.energies)
-        return (phases * coeffs) @ self.vectors.T
+        phases = self.phases(t).reshape(t.shape + (1,) * (psi.ndim - 1) + (-1,))
+        return self.states(phases * self.coefficients(psi))
 
 
 def unitary_from_generator(s_matrix: np.ndarray) -> np.ndarray:
@@ -363,38 +399,71 @@ def lang_firsov_check(config: TruncatedBathConfig, include_two_particle: bool = 
 # States and propagation
 # ---------------------------------------------------------------------------
 
+_SITE_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
 @dataclass(frozen=True)
-class FullState:
-    """Normalized amplitude vector over |site> (x) |Fock>, one particle."""
+class _Frame:
+    """Basis the oracle propagates in: two bath blocks of dim / 2 states each.
 
-    amplitudes: np.ndarray
-    bath_dim: int
+    ham: H in this basis; pulse: the pi pulse as a 2x2 acting on the block
+    index; from_site: block amplitudes of a site-basis pair (|1>, |2>);
+    to_st: [T, S] amplitudes of a block pair.
+    """
 
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2 * self.bath_dim,):
-            raise ConfigError(
-                f"amplitude vector must have length {2 * self.bath_dim}"
-            )
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-10:
-            raise InvariantError(f"state norm {norm} deviates from 1 beyond 1e-10")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def from_site_amplitudes(cls, site_amps, bath_dim: int) -> "FullState":
-        """Product of a site-basis qubit amplitude pair with the bath vacuum."""
-        vec = np.zeros(2 * bath_dim, dtype=complex)
-        vec[0] = site_amps[0]
-        vec[bath_dim] = site_amps[1]
-        return cls(amplitudes=vec, bath_dim=bath_dim)
+    ham: np.ndarray
+    pulse: np.ndarray
+    from_site: np.ndarray
+    to_st: np.ndarray
 
 
-def _pulse(amps: np.ndarray, bath_dim: int) -> np.ndarray:
-    """Instantaneous site swap (pi pulse) of amplitude vectors along the last
-    axis; its own inverse, bath untouched."""
-    return amps.reshape(*amps.shape[:-1], 2, bath_dim)[..., ::-1, :].reshape(amps.shape)
+def _gauge_angles(config: TruncatedBathConfig):
+    """theta_k = -(arg g_1k + arg g_2k) / 2 when |g_1k| = |g_2k| for every
+    mode, to a few ulp (ohmic_mode_config leaves differences of 1e-16);
+    None otherwise."""
+    g1, g2 = np.array(config.g_site1), np.array(config.g_site2)
+    m1, m2 = np.abs(g1), np.abs(g2)
+    if np.any(np.abs(m1 - m2) > 4.0 * np.finfo(float).eps * np.maximum(m1, m2)):
+        return None
+    return -0.5 * (np.angle(g1) + np.angle(g2))
+
+
+def _frame(config: TruncatedBathConfig) -> _Frame:
+    """The real symmetric frame of the module docstring when the couplings
+    allow it, else the lab (site) basis with the complex H."""
+    ham = build_hamiltonian(config)
+    theta = _gauge_angles(config)
+    if theta is None:
+        return _Frame(ham=ham, pulse=_SITE_SWAP, from_site=np.eye(2),
+                      to_st=_ST_FROM_SITE)
+    db = config.bath_dim
+    occ, _ = _bath_ladders(config)
+    phi = theta @ occ  # gauge phase of every bath basis state
+    a = ham[:db, :db] * np.exp(1j * (phi[None, :] - phi[:, None]))
+    hop = ham[:db, db:].real  # J * I; the gauge acts alike on both sites
+    real = np.block([[a.real + hop, -a.imag], [a.imag, a.real - hop]])
+    return _Frame(ham=real, pulse=np.diag([1.0, -1.0]),
+                  from_site=np.array([[1.0, 1.0], [-1j, 1j]]) / math.sqrt(2.0),
+                  to_st=np.diag([1.0, 1j]))
+
+
+def _on_blocks(m: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """The 2x2 m applied to the block index of amplitude vectors along the
+    last axis; the bath index is untouched."""
+    blocks = amps.reshape(*amps.shape[:-1], 2, amps.shape[-1] // 2)
+    return (m @ blocks).reshape(amps.shape)
+
+
+def _vacuum_state(block_amps, bath_dim: int) -> np.ndarray:
+    """Normalized block amplitude pairs (along the last axis) times the bath
+    vacuum, as vectors of length 2 * bath_dim."""
+    amps = np.asarray(block_amps, dtype=complex)
+    norm = np.linalg.norm(amps, axis=-1)
+    if np.any(np.abs(norm - 1.0) > 1e-10):
+        raise InvariantError(f"state norm {norm} deviates from 1 beyond 1e-10")
+    vec = np.zeros(amps.shape[:-1] + (2 * bath_dim,), dtype=complex)
+    vec[..., 0], vec[..., bath_dim] = amps[..., 0], amps[..., 1]
+    return vec
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -441,10 +510,12 @@ def _initial_site_branches(rho0: DensityMatrixST):
     return [(float(p), vecs[:, i]) for i, p in enumerate(weights) if p > 1e-14]
 
 
-def _reduced_st_series(amp_series: np.ndarray, bath_dim: int) -> np.ndarray:
-    a = amp_series.reshape(amp_series.shape[0], 2, bath_dim)
-    rho_site = np.einsum("tpm,tqm->tpq", a, a.conj())
-    return np.einsum("ip,tpq,jq->tij", _ST_FROM_SITE, rho_site, _ST_FROM_SITE.conj())
+def _reduced_st_series(amp_series: np.ndarray, to_st: np.ndarray) -> np.ndarray:
+    """[T, S] reduced density matrices of a stack of states (leading axis),
+    whose two blocks map to [T, S] amplitudes by to_st."""
+    a = amp_series.reshape(amp_series.shape[0], 2, -1)
+    rho_block = np.einsum("tpm,tqm->tpq", a, a.conj())
+    return np.einsum("ip,tpq,jq->tij", to_st, rho_block, to_st.conj())
 
 
 @dataclass(frozen=True)
@@ -509,28 +580,32 @@ def run_bangbang(config: TruncatedBathConfig, rho0: DensityMatrixST,
         raise ConfigError("all schedules must share one total_time for the scaling fit")
     total_time = schedules[0].total_time
 
-    prop = Propagator(build_hamiltonian(config))
-    db = config.bath_dim
+    frame = _frame(config)
+    prop = Propagator(frame.ham)
     rho0_matrix = rho0.matrix()
     branches = _initial_site_branches(rho0)
-    psi0 = np.stack([FullState.from_site_amplitudes(vec, db).amplitudes
-                     for _, vec in branches])
+    psi0 = _vacuum_state([frame.from_site @ vec for _, vec in branches], config.bath_dim)
     undo = _ideal_rotation(config, total_time)
 
     def distance(psi):
-        rho = sum(p * r for (p, _), r in zip(branches, _reduced_st_series(psi, db)))
+        reduced = _reduced_st_series(psi, frame.to_st)
+        rho = sum(p * r for (p, _), r in zip(branches, reduced))
         return trace_distance(undo[:, None] * rho * undo.conj(), rho0_matrix)
 
     distance_free = distance(prop.evolve(psi0, total_time))
+    c0 = prop.coefficients(psi0)
+    # row j of pulse_t is the coefficients of Pi v_j: (V^dag Pi V)^T
+    pulse_t = prop.coefficients(_on_blocks(frame.pulse, prop.vectors.T))
     results = []
     for sched in schedules:
         dt = sched.delta_t
-        psi = psi0
-        for _ in range(sched.cycles):
-            psi = prop.evolve(_pulse(prop.evolve(_pulse(psi, db), dt), db), dt)
+        free = prop.phases(dt)
+        c = c0
+        for _ in range(2 * sched.cycles):
+            c = free * _matmul(c, pulse_t)
         results.append(BangBangResult(
             delta_t=dt, n_cycles=sched.cycles,
-            distance_pulsed=distance(psi), distance_free=distance_free,
+            distance_pulsed=distance(prop.states(c)), distance_free=distance_free,
         ))
     results.sort(key=lambda r: r.delta_t)
 
@@ -567,15 +642,18 @@ def exact_decoherence_reference(config: TruncatedBathConfig, rho0: DensityMatrix
     reported with the ideal rotation undone, which leaves the coherence
     magnitude and populations untouched.
     """
-    prop = Propagator(build_hamiltonian(config))
-    db = config.bath_dim
+    frame = _frame(config)
+    prop = Propagator(frame.ham)
     t = grid.points
     rho_t = np.zeros((len(t), 2, 2), dtype=complex)
     for p, vec in _initial_site_branches(rho0):
-        psi0 = FullState.from_site_amplitudes(vec, db).amplitudes
-        rho_t += p * _reduced_st_series(prop.evolve(psi0, t), db)
+        psi0 = _vacuum_state(frame.from_site @ vec, config.bath_dim)
+        rho_t += p * _reduced_st_series(prop.evolve(psi0, t), frame.to_st)
     d = _ideal_rotation(config, t)
     rho_t = d[:, :, None] * rho_t * d.conj()[:, None, :]
+    # t = 0 is the input itself, so a zero rho_ST(0) stays exactly zero and the
+    # coherence is normalized (or not) as the input decides
+    rho_t[0] = rho0.matrix()
     traj = trajectory_from_matrices(grid, rho_t)
     return ExactReference(trajectory=traj, j_tilde=config.j_tilde(),
                           delta_e_b=config.delta_e_b())

@@ -141,6 +141,21 @@ class TestRunExperiment:
         rms = math.sqrt(np.mean((data[:, 1] - data[:, 2]) ** 2))
         assert rms <= 0.1
 
+    def test_oracle_compare_diagonal_state(self, tmp_path):
+        # zero initial coherence: both C columns are raw |rho_ST|, not a
+        # normalization by the round-off of the exact route's rho_ST(0)
+        config = tmp_path / "state.cfg"
+        config.write_text("rho_ss = 0.5\nre_rho_st = 0\nim_rho_st = 0\n")
+        code = cli.main(["oracle-compare", "--modes", "2", "--nmax", "4",
+                         "--config", str(config), "--out", str(tmp_path)])
+        assert code == 0
+        raw = open(tmp_path / "compare.csv").read().splitlines()
+        rms = float(raw[0].split("rms_coherence_diff=")[1])
+        header, data = read_csv(tmp_path / "compare.csv")
+        assert data[0, header.index("C_exact")] == 0.0
+        assert np.max(data[:, header.index("C_exact")]) < 0.01
+        assert rms < 0.01
+
     def test_svg_emission(self, tmp_path):
         cfg = cli.parse_config(flags={"s": "1", "t_max": "2", "dt": "0.01",
                                       "svg": "true", "out_dir": str(tmp_path)})

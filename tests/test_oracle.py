@@ -6,15 +6,18 @@ import polaron_deco as pd
 from polaron_deco import (
     ConfigError,
     DensityMatrixST,
-    FullState,
+    InvariantError,
     Propagator,
     PulseSchedule,
     TimeGrid,
     TruncatedBathConfig,
 )
 from polaron_deco.oracle import (
+    _SITE_SWAP,
     _ST_FROM_SITE,
-    _pulse,
+    _frame,
+    _on_blocks,
+    _vacuum_state,
     lang_firsov_generator,
     ohmic_mode_config,
 )
@@ -198,22 +201,22 @@ class TestExactEvolution:
     def test_zero_time_is_identity(self):
         cfg = single_mode(n_max=3)
         prop = Propagator(pd.build_hamiltonian(cfg))
-        psi = FullState.from_site_amplitudes([1.0, 0.0], cfg.bath_dim).amplitudes
+        psi = _vacuum_state([1.0, 0.0], cfg.bath_dim)
         assert np.allclose(prop.evolve(psi, 0.0), psi, atol=1e-14)
 
     def test_eigenstate_only_rotates(self):
         cfg = single_mode(n_max=3)
         ham = pd.build_hamiltonian(cfg)
         w, v = np.linalg.eigh(ham)
-        psi = FullState(amplitudes=v[:, 0], bath_dim=cfg.bath_dim).amplitudes
+        psi = v[:, 0]
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
         out = Propagator(ham).evolve(psi, 0.7)
         assert abs(abs(np.vdot(psi, out)) - 1.0) < 1e-12
 
     def test_half_steps_compose(self):
         cfg = single_mode(n_max=4)
         prop = Propagator(pd.build_hamiltonian(cfg))
-        psi = FullState.from_site_amplitudes([np.sqrt(0.3), np.sqrt(0.7)],
-                                             cfg.bath_dim).amplitudes
+        psi = _vacuum_state([np.sqrt(0.3), np.sqrt(0.7)], cfg.bath_dim)
         one = prop.evolve(psi, 0.8)
         two = prop.evolve(prop.evolve(psi, 0.4), 0.4)
         assert np.max(np.abs(one - two)) < 1e-10
@@ -225,14 +228,18 @@ class TestExactEvolution:
     def test_norm_drift_over_many_steps(self):
         cfg = single_mode(n_max=3)
         prop = Propagator(pd.build_hamiltonian(cfg))
-        psi = FullState.from_site_amplitudes([1.0, 0.0], cfg.bath_dim).amplitudes
+        psi = _vacuum_state([1.0, 0.0], cfg.bath_dim)
         for _ in range(10_000):
             psi = prop.evolve(psi, 0.01)
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
 
     def test_norm_validation(self):
         with pytest.raises(pd.InvariantError):
-            FullState(amplitudes=np.ones(8, dtype=complex), bath_dim=4)
+            _vacuum_state(np.ones(2, dtype=complex), bath_dim=4)
+        # a stack is checked row by row
+        with pytest.raises(InvariantError):
+            _vacuum_state([[1.0, 0.0], [1.0, 1.0]], bath_dim=4)
+        assert _vacuum_state([[1.0, 0.0], [0.6, 0.8j]], bath_dim=4).shape == (2, 8)
 
     def test_rejects_non_hermitian(self):
         bad = np.arange(16.0).reshape(4, 4) + 1j
@@ -249,25 +256,26 @@ class TestExactEvolution:
 
 class TestPulse:
     def test_site_swap(self):
-        psi = FullState.from_site_amplitudes([1.0, 0.0], 4).amplitudes
-        out = _pulse(psi, 4)
+        psi = _vacuum_state([1.0, 0.0], 4)
+        out = _on_blocks(_SITE_SWAP, psi)
         assert out[4] == 1.0
         assert np.all(out[:4] == 0.0)
 
     def test_triplet_even_singlet_odd(self):
         r = 1.0 / np.sqrt(2.0)
-        triplet = FullState.from_site_amplitudes([r, r], 3).amplitudes
-        singlet = FullState.from_site_amplitudes([r, -r], 3).amplitudes
-        assert np.allclose(_pulse(triplet, 3), triplet)
-        assert np.allclose(_pulse(singlet, 3), -singlet)
+        triplet = _vacuum_state([r, r], 3)
+        singlet = _vacuum_state([r, -r], 3)
+        assert np.allclose(_on_blocks(_SITE_SWAP, triplet), triplet)
+        assert np.allclose(_on_blocks(_SITE_SWAP, singlet), -singlet)
 
     def test_involution(self):
         rng = np.random.default_rng(5)
         amps = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
-        out = _pulse(_pulse(amps, 4), 4)
+        out = _on_blocks(_SITE_SWAP, _on_blocks(_SITE_SWAP, amps))
         assert np.max(np.abs(out - amps)) < 1e-14
         # a stack of states is swapped row by row
-        assert np.array_equal(_pulse(amps, 4)[1], _pulse(amps[1], 4))
+        swapped = _on_blocks(_SITE_SWAP, amps)
+        assert np.array_equal(swapped[1], _on_blocks(_SITE_SWAP, amps[1]))
 
     def test_commutes_with_decoupled_part(self):
         cfg = ohmic_mode_config(n_modes=2, n_max=3, coupling=1.0, s=1.0, j_hop=0.4)
@@ -419,6 +427,146 @@ class TestExactReference:
         b = pd.exact_decoherence_reference(shifted, fig2_state(), grid)
         assert np.max(np.abs(a.trajectory.coherence - b.trajectory.coherence)) < 1e-10
         assert np.max(np.abs(a.trajectory.pop_diff - b.trajectory.pop_diff)) < 1e-10
+
+
+# configs with |g_1k| = |g_2k|, which the oracle runs in the real frame
+FRAME_CONFIGS = {
+    "ohmic-s-pi": lambda: ohmic_mode_config(n_modes=2, n_max=3),
+    "ohmic-s-2": lambda: ohmic_mode_config(n_modes=2, n_max=3, s=2.0, epsilon_onsite=0.3),
+    "ohmic-3x3": lambda: ohmic_mode_config(n_modes=3, n_max=3, coupling=0.5, s=1.3),
+    "ohmic-1x10": lambda: ohmic_mode_config(n_modes=1, n_max=10, coupling=2.0, s=0.7),
+    "both-phases": lambda: TruncatedBathConfig(
+        mode_freqs=(0.8, 1.9), g_site1=(0.4 * np.exp(0.4j), 0.3 * np.exp(-1.1j)),
+        g_site2=(0.4 * np.exp(2.0j), 0.3 * np.exp(0.3j)), n_max=4, j_hop=0.6,
+        epsilon_onsite=-0.2),
+}
+
+FRAME_STATES = {
+    "pure-real": fig2_state,
+    "mixed": lambda: DensityMatrixST(rho_ss=0.6, rho_tt=0.4, rho_st=0.1 + 0.05j),
+    "pure-complex": lambda: DensityMatrixST.from_parts(
+        0.7, np.sqrt(0.21) * np.exp(0.9j)),
+    "diagonal": lambda: DensityMatrixST(rho_ss=0.3, rho_tt=0.7, rho_st=0.0),
+}
+
+
+class _ComplexReference:
+    """Independent route: complex eigh of the lab-frame H, the full density
+    matrix rho_site (x) |vac><vac| propagated by dense unitaries, a partial
+    trace and the ideal rotation undone with a 2x2 matrix exponential."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.db = cfg.bath_dim
+        self.energies, self.vectors = np.linalg.eigh(pd.build_hamiltonian(cfg))
+        self.swap = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(self.db))
+
+    def unitary(self, t):
+        return (self.vectors * np.exp(-1j * self.energies * t)) @ self.vectors.conj().T
+
+    def reduced(self, u, rho0, t):
+        vacuum = np.zeros((self.db, self.db))
+        vacuum[0, 0] = 1.0
+        full = u @ np.kron(_ST_FROM_SITE.conj().T @ rho0.matrix() @ _ST_FROM_SITE,
+                           vacuum) @ u.conj().T
+        rho_site = np.trace(full.reshape(2, self.db, 2, self.db), axis1=1, axis2=3)
+        h_sys = np.array([[self.cfg.epsilon_onsite, self.cfg.j_hop],
+                          [self.cfg.j_hop, self.cfg.epsilon_onsite]])
+        undo = _ST_FROM_SITE @ expm(1j * h_sys * t) @ _ST_FROM_SITE.conj().T
+        return undo @ _ST_FROM_SITE @ rho_site @ _ST_FROM_SITE.conj().T @ undo.conj().T
+
+    def bangbang(self, rho0, total, cycles):
+        u_dt = self.unitary(total / (2 * cycles))
+        pulsed = np.linalg.matrix_power(u_dt @ self.swap @ u_dt @ self.swap, cycles)
+        return (pd.trace_distance(self.reduced(pulsed, rho0, total), rho0.matrix()),
+                pd.trace_distance(self.reduced(self.unitary(total), rho0, total),
+                                  rho0.matrix()))
+
+
+class TestRealFrame:
+    @pytest.mark.parametrize("name", list(FRAME_CONFIGS))
+    def test_frame_is_real_symmetric(self, name):
+        cfg = FRAME_CONFIGS[name]()
+        frame = _frame(cfg)
+        assert frame.ham.dtype == np.float64
+        assert np.array_equal(frame.ham, frame.ham.T)
+        assert Propagator(frame.ham).vectors.dtype == np.float64
+
+    @pytest.mark.parametrize("name", list(FRAME_CONFIGS))
+    def test_spectrum_matches_complex_eigh(self, name):
+        cfg = FRAME_CONFIGS[name]()
+        assert cfg.dim <= 128
+        lab = np.linalg.eigvalsh(pd.build_hamiltonian(cfg))
+        real = np.linalg.eigvalsh(_frame(cfg).ham)
+        assert np.max(np.abs(np.sort(lab) - np.sort(real))) <= 1e-12
+
+    @pytest.mark.parametrize("state", list(FRAME_STATES))
+    @pytest.mark.parametrize("name", list(FRAME_CONFIGS))
+    def test_exact_reference_matches_complex_route(self, name, state):
+        cfg = FRAME_CONFIGS[name]()
+        rho0 = FRAME_STATES[state]()
+        grid = TimeGrid(3.0, 0.25)
+        traj = pd.exact_decoherence_reference(cfg, rho0, grid).trajectory
+        ref = _ComplexReference(cfg)
+        rho = np.array([ref.reduced(ref.unitary(t), rho0, t) for t in grid.points])
+        assert np.max(np.abs(traj.rho_st - rho[:, 1, 0])) <= 1e-12
+        assert np.max(np.abs(traj.rho_ss - rho[:, 1, 1].real)) <= 1e-12
+        expected_c = np.abs(rho[:, 1, 0])
+        if traj.coherence_normalized:
+            expected_c = expected_c / abs(rho0.rho_st)
+        assert np.max(np.abs(traj.coherence - expected_c)) <= 1e-12
+        expected_pd = np.abs(rho[:, 0, 0] - rho[:, 1, 1]).real
+        assert np.max(np.abs(traj.pop_diff - expected_pd)) <= 1e-12
+
+    @pytest.mark.parametrize("state", list(FRAME_STATES))
+    @pytest.mark.parametrize("name", list(FRAME_CONFIGS))
+    def test_bangbang_matches_complex_route(self, name, state):
+        cfg = FRAME_CONFIGS[name]()
+        rho0 = FRAME_STATES[state]()
+        ref = _ComplexReference(cfg)
+        report = pd.run_bangbang(cfg, rho0, [PulseSchedule(2.0, n) for n in (1, 3, 8)])
+        for row in report.results:
+            pulsed, free = ref.bangbang(rho0, 2.0, row.n_cycles)
+            assert abs(row.distance_pulsed - pulsed) <= 1e-12
+            assert abs(row.distance_free - free) <= 1e-12
+
+    @pytest.mark.parametrize("g_site2", [(0.0, 0.0), (0.2, 0.1 - 0.2j)])
+    def test_asymmetric_couplings_stay_in_lab_frame(self, g_site2):
+        cfg = TruncatedBathConfig(mode_freqs=(0.9, 2.3), g_site1=(0.3 + 0.1j, 0.05),
+                                  g_site2=g_site2, n_max=3, j_hop=0.7)
+        frame = _frame(cfg)
+        assert np.iscomplexobj(frame.ham)
+        assert np.array_equal(frame.ham, pd.build_hamiltonian(cfg))
+        assert np.array_equal(frame.pulse, _SITE_SWAP)
+        assert np.iscomplexobj(Propagator(frame.ham).vectors)
+
+    def test_one_ulp_magnitude_difference_takes_real_frame(self):
+        # ohmic_mode_config leaves |g_1k| and |g_2k| one ulp apart
+        cfg = ohmic_mode_config(n_modes=3, n_max=2, s=1.3)
+        assert np.abs(np.abs(cfg.g_site1) - np.abs(cfg.g_site2)).max() > 0.0
+        assert _frame(cfg).ham.dtype == np.float64
+
+    def test_real_propagator_matches_complex(self):
+        cfg = FRAME_CONFIGS["ohmic-s-2"]()
+        ham = _frame(cfg).ham
+        rng = np.random.default_rng(3)
+        psi = rng.normal(size=(2, cfg.dim)) + 1j * rng.normal(size=(2, cfg.dim))
+        t = np.array([0.0, 0.3, 1.7])
+        real = Propagator(ham).evolve(psi, t)
+        cplx = Propagator(ham.astype(complex)).evolve(psi, t)
+        assert real.shape == cplx.shape == (3, 2, cfg.dim)
+        assert np.max(np.abs(real - cplx)) <= 1e-12
+
+
+class TestDiagonalInitialState:
+    def test_zero_initial_coherence_stays_raw(self):
+        cfg = ohmic_mode_config(n_modes=2, n_max=4, coupling=0.1, s=1.0, j_hop=0.1)
+        rho0 = DensityMatrixST(rho_ss=0.5, rho_tt=0.5, rho_st=0.0)
+        traj = pd.exact_decoherence_reference(cfg, rho0, TimeGrid(10.0, 0.0125)).trajectory
+        assert traj.rho_st[0] == 0.0
+        assert not traj.coherence_normalized
+        # raw |rho_ST|, which the bath builds up from zero only weakly
+        assert float(np.max(traj.coherence)) < 0.01
 
 
 class TestMasterEquationComparison:
