@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from kernel_reference import direct_kernel_sums
 from scipy.integrate import quad
 from scipy.special import dawsn
 
 import polaron_deco as pd
-from polaron_deco import BathModel, ConfigError, QuadratureSpec, TimeGrid
+from polaron_deco import BathModel, ConfigError, QuadratureSpec, TimeGrid, bath
 from polaron_deco.bath import sinc
 
 
@@ -238,3 +241,78 @@ class TestKernelTable:
         spec = QuadratureSpec(rel_tol=1e-300, abs_tol=0.0, max_subdivisions=8000)
         with pytest.raises(pd.QuadratureError, match="tau"):
             pd.build_kernel_table(BathModel(lambda_g=1.0, s=1.0), grid, spec)
+
+    def test_sine_estimate_alone_fails(self, monkeypatch):
+        # the sine kernel's error estimate is checked on its own: with the
+        # cosine estimate zeroed, a tolerance below the sine one must fail
+        # and name K_s at the sine estimate's worst tau
+        grid = TimeGrid(t_max=50.0, dt=10.0)
+        model = BathModel(lambda_g=1.0, s=1.0)
+        k_cos, k_sin, err_c, err_s = bath._kernel_sums(model, grid)
+        monkeypatch.setattr(bath, "_kernel_sums", lambda m, g: (
+            k_cos, k_sin, np.zeros_like(err_c), err_s))
+        worst = int(np.argmax(err_s))
+        spec = QuadratureSpec(rel_tol=0.5 * err_s[worst], abs_tol=0.0)
+        tau = f"tau={grid.points[worst]:.6g}:"
+        with pytest.raises(pd.QuadratureError, match=f"K_s .*{tau}"):
+            pd.build_kernel_table(model, grid, spec)
+        # the same tolerance passes when the sine estimate is within it
+        monkeypatch.setattr(bath, "_kernel_sums", lambda m, g: (
+            k_cos, k_sin, np.zeros_like(err_c), 0.25 * err_s))
+        pd.build_kernel_table(model, grid, spec)
+
+    def test_memory_is_bounded(self):
+        # the direct (n x nodes) phase block peaks at ~378 MB here; the
+        # angle-addition route keeps O((chunk + sqrt(n)) x nodes)
+        grid = TimeGrid(t_max=400.0, dt=0.05)
+        tracemalloc.start()
+        try:
+            pd.build_kernel_table(BathModel(lambda_g=1.0, s=1.0), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 96e6
+
+
+# grids of n = 49 (a perfect square), 50 (= 7^2 + 1), 3 and 2 points; the
+# block size is ceil(sqrt(n)), so n = 2 and 3 are single short blocks
+SMALL_GRIDS = [(4.8, 0.1), (4.9, 0.1), (0.2, 0.1), (1.0, 1.0)]
+
+
+class TestKernelTableAngleAddition:
+    """bath._kernel_sums against the direct cos/sin phase block."""
+
+    @staticmethod
+    def assert_matches_direct(model, grid):
+        new = bath._kernel_sums(model, grid)
+        ref = direct_kernel_sums(model, grid)
+        # the two routes sum the nodes in different orders; 1e-14 relative
+        # to the kernel's own scale K_c(0)
+        tol = 1e-14 * max(1.0, ref[0][0])
+        for name, a, b in zip(("k_cos", "k_sin", "err_cos", "err_sin"), new, ref):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= tol, name
+
+    @pytest.mark.parametrize("t_max, dt", SMALL_GRIDS)
+    @pytest.mark.parametrize("omega_c", [0.3, 3.1])
+    @pytest.mark.parametrize("s", [0.01, 1.0, 10.0, 100.0])
+    def test_small_grids(self, s, omega_c, t_max, dt):
+        self.assert_matches_direct(BathModel(lambda_g=1.0, s=s, omega_c=omega_c),
+                                   TimeGrid(t_max=t_max, dt=dt))
+
+    @pytest.mark.parametrize("t_max, dt", SMALL_GRIDS)
+    def test_capped_block_and_chunks(self, monkeypatch, t_max, dt):
+        # blocks of at most 3 points, taken 2 starts per GEMM: many chunks
+        # and block starts beyond sqrt(n), as on grids longer than 256^2
+        monkeypatch.setattr(bath, "_MAX_BLOCK", 3)
+        monkeypatch.setattr(bath, "_START_CHUNK", 2)
+        self.assert_matches_direct(BathModel(lambda_g=1.0, s=10.0, omega_c=3.1),
+                                   TimeGrid(t_max=t_max, dt=dt))
+
+    @pytest.mark.parametrize("s, omega_c", [
+        (0.01, 0.3), (1.0, 0.3), (10.0, 0.3), (100.0, 0.3), (1.0, 1.0)])
+    def test_default_grid(self, default_grid, s, omega_c):
+        # 10001 points: blocks of 101, several chunks of block starts and a
+        # two-point last block
+        self.assert_matches_direct(BathModel(lambda_g=1.0, s=s, omega_c=omega_c),
+                                   default_grid)
