@@ -5,6 +5,8 @@ Units: the Gaussian cutoff of the Ohmic spectral density is the unit of
 energy and its inverse the unit of time.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bath import (
     BathModel,
     KernelTable,
@@ -17,11 +19,9 @@ from .bath import (
 from .dynamics import (
     DensityMatrixST,
     Trajectory,
-    coherence,
     evolve_closed_form,
     evolve_ode,
     lamb_shift_vanishes,
-    population_difference,
 )
 from .errors import (
     ConfigError,
@@ -30,7 +30,6 @@ from .errors import (
     PolaronDecoError,
     PositivityError,
     QuadratureError,
-    ZeroCoherenceError,
 )
 from .numerics import (
     QuadratureSpec,
@@ -56,4 +55,6 @@ from .rates import RateTable, build_rate_table, build_rate_table_from_kernels, r
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public name bound above except the submodules themselves
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

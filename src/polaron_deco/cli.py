@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -94,11 +93,8 @@ class ExperimentConfig:
             self.rho_ss, self.re_rho_st + 1j * self.im_rho_st
         )
 
-    def bath_model(self, s=None, lambda_g=None) -> bath.BathModel:
-        return bath.BathModel(
-            lambda_g=self.lambda_g if lambda_g is None else lambda_g,
-            s=self.s if s is None else s,
-        )
+    def bath_model(self) -> bath.BathModel:
+        return bath.BathModel(lambda_g=self.lambda_g, s=self.s)
 
     def grid(self) -> numerics.TimeGrid:
         return numerics.TimeGrid(t_max=self.t_max, dt=self.dt)
@@ -126,7 +122,7 @@ _KEY_PARSERS = {f.name: _field_parser(f.default) for f in fields(ExperimentConfi
 _REMOVED_KEYS = {
     "omega_c": "rescale instead: lambda_g*W^2, s*W, j_hop/W, t_max*W, dt*W",
     "geometry_factor": "multiply it into lambda_g instead",
-    "jobs": "the sweep uses one worker per core; delete the line",
+    "jobs": "sweeps run in one thread; delete the line",
     "seed": "it was never read; delete the line",
 }
 
@@ -208,10 +204,8 @@ def write_config_echo(config: ExperimentConfig, path):
 # Experiment modes
 # ---------------------------------------------------------------------------
 
-def _trajectory_for(config, s_value=None, lambda_value=None):
-    model = config.bath_model(s=s_value, lambda_g=lambda_value)
-    grid = config.grid()
-    table = rates.build_rate_table(model, config.j_hop, grid)
+def _trajectory_for(config):
+    table = rates.build_rate_table(config.bath_model(), config.j_hop, config.grid())
     return dynamics.evolve_closed_form(config.initial_state(), table)
 
 
@@ -230,16 +224,8 @@ def _run_single(config):
     return written
 
 
-def _run_sweep(config, values, label):
-    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-        futures = [
-            pool.submit(_trajectory_for, config,
-                        s_value=v if label == "s" else None,
-                        lambda_value=v if label == "lambda" else None)
-            for v in values
-        ]
-        trajs = [f.result() for f in futures]  # collected in sweep order
-
+def _run_sweep(config, key, values, label):
+    trajs = [_trajectory_for(replace(config, **{key: v})) for v in values]
     grid = config.grid()
     tags = [f"{label}={format_number(v)}" for v in values]
     path_a = os.path.join(config.out_dir, "fig2a.csv")
@@ -273,7 +259,7 @@ def _run_effective_hopping(config):
     header_a = ["lambda_g"]
     for s in config.s_values:
         header_a.append(f"ratio_s={format_number(s)}")
-        cols_a.append([bath.effective_hopping_ratio(config.bath_model(s=s, lambda_g=v))
+        cols_a.append([bath.effective_hopping_ratio(bath.BathModel(lambda_g=v, s=s))
                        for v in lam_grid])
     write_csv(path_a, header_a, cols_a)
 
@@ -283,7 +269,7 @@ def _run_effective_hopping(config):
     header_b = ["s"]
     for lam in config.lambda_values:
         header_b.append(f"ratio_lambda={format_number(lam)}")
-        cols_b.append([bath.effective_hopping_ratio(config.bath_model(s=v, lambda_g=lam))
+        cols_b.append([bath.effective_hopping_ratio(bath.BathModel(lambda_g=lam, s=v))
                        for v in s_grid])
     write_csv(path_b, header_b, cols_b)
     written = [path_a, path_b]
@@ -348,8 +334,8 @@ def _run_oracle_compare(config):
 
 _MODE_RUNNERS = {
     "single": _run_single,
-    "sweep-s": lambda cfg: _run_sweep(cfg, cfg.s_values, "s"),
-    "sweep-lambda": lambda cfg: _run_sweep(cfg, cfg.lambda_values, "lambda"),
+    "sweep-s": lambda cfg: _run_sweep(cfg, "s", cfg.s_values, "s"),
+    "sweep-lambda": lambda cfg: _run_sweep(cfg, "lambda_g", cfg.lambda_values, "lambda"),
     "effective-hopping": _run_effective_hopping,
     "bangbang": _run_bangbang,
     "oracle-compare": _run_oracle_compare,

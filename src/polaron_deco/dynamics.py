@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, PositivityError, ZeroCoherenceError
+from .errors import ConfigError, NumericalError, PositivityError
 from .numerics import TimeGrid
 from .rates import RateTable, rate_at
 
@@ -40,8 +40,6 @@ __all__ = [
     "Trajectory",
     "evolve_ode",
     "evolve_closed_form",
-    "coherence",
-    "population_difference",
     "lamb_shift_vanishes",
     "trajectory_from_matrices",
 ]
@@ -256,24 +254,6 @@ def evolve_ode(rho0: DensityMatrixST, rates: RateTable, check: bool = True,
     if check:
         traj.check_invariants()
     return traj
-
-
-def coherence(traj: Trajectory) -> np.ndarray:
-    """Normalized coherence C(t) = |<T|rho(t)|S>| / |<T|rho(0)|S>|.
-
-    Defined only for nonzero initial coherence; use traj.coherence with the
-    coherence_normalized flag when the initial state may be diagonal.
-    """
-    if not traj.coherence_normalized:
-        raise ZeroCoherenceError(
-            "initial coherence is zero; normalized C(t) is undefined"
-        )
-    return traj.coherence
-
-
-def population_difference(traj: Trajectory) -> np.ndarray:
-    """P_D(t) = |rho_TT - rho_SS| / (rho_TT(0) + rho_SS(0)), in [0, 1]."""
-    return traj.pop_diff
 
 
 @dataclass(frozen=True)

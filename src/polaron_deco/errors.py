@@ -34,7 +34,3 @@ class PositivityError(InvariantError):
     def __init__(self, message, t_first=None):
         super().__init__(message)
         self.t_first = t_first
-
-
-class ZeroCoherenceError(InvariantError):
-    """Normalized coherence is undefined because the initial coherence is zero."""

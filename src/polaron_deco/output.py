@@ -30,16 +30,20 @@ def write_csv(path, header, columns, comments=()):
     """Write columns (equal-length sequences) under a header row.
 
     Payload is numeric only, so no quoting is ever required. Optional
-    comment lines (already prefixed with '#') go above the header.
+    comment lines (already prefixed with '#') go above the header. Each row
+    is one %-template over the columns with format_number's rules: integer
+    columns as %d, float columns as %.9g after adding 0.0 (-0.0 prints 0).
     """
     columns = [np.asarray(c) for c in columns]
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("all CSV columns must have equal length")
+    integer = [c.dtype.kind in "biu" for c in columns]
+    row = ",".join("%d" if i else "%.9g" for i in integer)
+    values = [(c if i else c + 0.0).tolist() for c, i in zip(columns, integer)]
     lines = list(comments)
     lines.append(",".join(header))
-    for i in range(n):
-        lines.append(",".join(format_number(c[i]) for c in columns))
+    lines.extend(row % cells for cells in zip(*values))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -115,9 +119,10 @@ def write_svg(path, x, series, title="", x_label="", y_label="",
         parts.append(f'<text x="16" y="{mt + ph / 2:g}" text-anchor="middle" '
                      f'transform="rotate(-90 16 {mt + ph / 2:g})">{y_label}</text>')
 
+    x_px = px(x_t).tolist()
     for i, (label, y) in enumerate(ys.items()):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{px(u):.2f},{py(v):.2f}" for u, v in zip(x_t, ty(y)))
+        pts = " ".join("%.2f,%.2f" % p for p in zip(x_px, py(ty(y)).tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         ly = mt + 16 + 16 * i

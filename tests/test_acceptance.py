@@ -155,9 +155,7 @@ def test_criterion_10_exact_vs_master_equation():
         assert comp.rms_coherence_diff <= 0.1, comp.rms_coherence_diff
 
 
-def test_criterion_11_deterministic_outputs(tmp_path, monkeypatch):
-    # the sweep pool runs more than one worker even on a 1-core runner
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+def test_criterion_11_deterministic_outputs(tmp_path):
     with criterion(11, "byte-identical CSVs across repeated runs"):
         payloads = []
         for label in ("a", "b"):

@@ -179,11 +179,6 @@ class TestRunExperiment:
 
 
 class TestDeterminism:
-    @pytest.fixture(autouse=True)
-    def _four_workers(self, monkeypatch):
-        # the sweep pool runs more than one worker even on a 1-core runner
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-
     def _run(self, out_dir, mode="sweep-s"):
         cfg = cli.parse_config(mode=mode, flags={"out_dir": str(out_dir),
                                                  "t_max": "2", "dt": "0.01",
