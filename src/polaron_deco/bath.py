@@ -1,23 +1,21 @@
 """Ohmic bath with Gaussian cutoff: spectral model, correlation kernels and
 the dressed (polaron) hopping reduction.
 
-The coupling-weighted spectral density is |g(w)|^2 = lambda_g * w * e^{-w^2/W^2}
-with cutoff W (= omega_c, fixed to 1 in internal units). Two sites separated
-by a scattering time scale s = l/v see the difference coupling, which carries
-the forward-scattering factor (1 - sin(ws)/(ws)). The mode-sum kernels are
+The coupling-weighted spectral density is |g(w)|^2 = lambda_g * w * e^{-w^2},
+with the Gaussian cutoff W as the unit of energy (a bath with another cutoff
+is the same model at lambda_g * W^2, s * W, j_hop / W and times t * W). Two
+sites separated by a scattering time scale s = l/v see the difference
+coupling, which carries the forward-scattering factor (1 - sin(ws)/(ws)).
+The mode-sum kernels are
 
-    K_c(tau) = 2 * lambda_g * gf * int_0^inf dw w e^{-w^2/W^2} (1 - sinc(ws)) cos(w tau)
+    K_c(tau) = 2 * lambda_g * int_0^inf dw w e^{-w^2} (1 - sinc(ws)) cos(w tau)
     K_s(tau) = same integrand with sin(w tau)
 
 so that K_c(0) equals the total dressing weight and the effective hopping
 ratio is exp(-K_c(0)/2). At tau = 0 the integral has the closed form
-W^2 (1/2 - F[Ws]/(Ws)) in terms of the Gaussian sine transform F (see
+1/2 - F[s]/s in terms of the Gaussian sine transform F (see
 numerics.dawson_sine); that identity is the main cross-check between the
 quadrature and special-function routes and is enforced by the test suite.
-
-geometry_factor (default 1) multiplies lambda_g everywhere; it exists so
-alternative prefactor conventions for the 3d mode sum can be recovered by
-rescaling without touching the core integrals.
 """
 
 from __future__ import annotations
@@ -63,45 +61,30 @@ class BathModel:
 
     lambda_g: effective coupling (absorbs the intrinsic coupling, phonon
         speed and geometry prefactor of the 3d mode sum).
-    omega_c: Gaussian cutoff; the internal unit of energy (default 1).
-    s: scattering time scale, site separation over phonon speed, in 1/omega_c.
-    geometry_factor: extra dimensionless scale multiplying the mode sum.
+    s: scattering time scale, site separation over phonon speed, in 1/W.
     """
 
     lambda_g: float = 1.0
-    omega_c: float = 1.0
     s: float = 1.0
-    geometry_factor: float = 1.0
 
     def __post_init__(self):
-        for name in ("lambda_g", "omega_c", "s", "geometry_factor"):
+        for name in ("lambda_g", "s"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.lambda_g >= 0:
             raise ConfigError(f"lambda_g must be >= 0, got {self.lambda_g}")
         if not self.s >= 0:
             raise ConfigError(f"s must be >= 0, got {self.s}")
-        if not self.omega_c > 0:
-            raise ConfigError(f"omega_c must be > 0, got {self.omega_c}")
-        if not self.geometry_factor > 0:
-            raise ConfigError(
-                f"geometry_factor must be > 0, got {self.geometry_factor}"
-            )
-
-    @property
-    def strength(self) -> float:
-        return self.lambda_g * self.geometry_factor
 
     def kernel_zero(self) -> float:
-        """K_c(0) by the Dawson closed form, 2*strength*W^2*(1/2 - F[Ws]/(Ws)).
+        """K_c(0) by the Dawson closed form, 2*lambda_g*(1/2 - F[s]/s).
 
         This is the special-function route; kernel_cos(0) reaches the same
         number by quadrature.
         """
         if self.lambda_g == 0.0 or self.s == 0.0:
             return 0.0
-        zs = self.omega_c * self.s
-        return 2.0 * self.strength * self.omega_c**2 * (0.5 - dawson_sine(zs) / zs)
+        return 2.0 * self.lambda_g * (0.5 - dawson_sine(self.s) / self.s)
 
 
 @dataclass(frozen=True)
@@ -127,12 +110,8 @@ class KernelTable:
 
 
 def _integrand_factory(model: BathModel, trig, tau: float):
-    w = model.omega_c
-    sig = w * model.s
-    th = w * tau
-
     def f(x):
-        return x * np.exp(-x * x) * (1.0 - sinc(x * sig)) * trig(x * th)
+        return x * np.exp(-x * x) * (1.0 - sinc(x * model.s)) * trig(x * tau)
 
     return f
 
@@ -149,7 +128,7 @@ def kernel_cos(tau: float, model: BathModel,
     if model.lambda_g == 0.0 or model.s == 0.0:
         return 0.0
     val = integrate_semiinf(_integrand_factory(model, np.cos, tau), spec)
-    return 2.0 * model.strength * model.omega_c**2 * val
+    return 2.0 * model.lambda_g * val
 
 
 def kernel_sin(tau: float, model: BathModel,
@@ -160,14 +139,14 @@ def kernel_sin(tau: float, model: BathModel,
     if tau == 0.0 or model.lambda_g == 0.0 or model.s == 0.0:
         return 0.0
     val = integrate_semiinf(_integrand_factory(model, np.sin, tau), spec)
-    return 2.0 * model.strength * model.omega_c**2 * val
+    return 2.0 * model.lambda_g * val
 
 
 def effective_hopping_ratio(model: BathModel) -> float:
     """Dressed over bare hopping, exp(-K_c(0)/2), in (0, 1].
 
-    Equals exp(-strength * W^2 * (1/2 - F[Ws]/(Ws))); exactly 1 when s = 0
-    or lambda_g = 0, and saturates to exp(-strength * W^2 / 2) for s -> inf.
+    Equals exp(-lambda_g * (1/2 - F[s]/s)); exactly 1 when s = 0 or
+    lambda_g = 0, and saturates to exp(-lambda_g / 2) for s -> inf.
     """
     return float(np.exp(-0.5 * model.kernel_zero()))
 
@@ -191,13 +170,12 @@ def _kernel_sums(model: BathModel, grid: TimeGrid):
     all four sums. Returns (k_cos, k_sin, err_cos, err_sin).
     """
     n = len(grid)
-    w = model.omega_c
-    osc = w * (grid.t_max + model.s)
-    nodes, weights, err_weights = composite_gk15_nodes(OMEGA_TRUNCATION, osc)
-    g = nodes * np.exp(-nodes * nodes) * (1.0 - sinc(nodes * w * model.s))
-    scale = 2.0 * model.strength * w**2
+    nodes, weights, err_weights = composite_gk15_nodes(
+        OMEGA_TRUNCATION, grid.t_max + model.s)
+    g = nodes * np.exp(-nodes * nodes) * (1.0 - sinc(nodes * model.s))
+    scale = 2.0 * model.lambda_g
 
-    theta = w * grid.points
+    theta = grid.points
     block = min(math.isqrt(n - 1) + 1, _MAX_BLOCK)
     offsets = np.outer(theta[:block], nodes)
     right = np.empty((4, block, len(nodes)))
@@ -233,7 +211,7 @@ def build_kernel_table(model: BathModel, grid: TimeGrid,
 
     The integrand's product cos(w tau) * sinc(w s) carries spectral content
     up to the sum frequency tau + s, so the panels are sized to resolve
-    omega_c * (t_max + s). The n x nodes phase block is never formed: cos
+    t_max + s. The n x nodes phase block is never formed: cos
     and sin run on about 2 sqrt(n) x nodes block-start and offset phases,
     and angle addition folds them into one GEMM per chunk of block starts
     (see _kernel_sums). The cost is ~16 n x nodes GEMM flops, the memory

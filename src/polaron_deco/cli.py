@@ -454,8 +454,10 @@ def selftest(out=None) -> bool:
 # (flag, key, help); every verb takes each of these plus --config
 _FLAGS = (
     ("--out", "out_dir", f"output directory (default ${ENV_OUT_DIR} or ./out)"),
-    ("--s", "s", "scattering scale, or comma list for sweeps"),
-    ("--lambda", "lambda_g", "effective coupling, or comma list for sweeps"),
+    ("--s", "s", "scattering scale; the s_values list for sweep-s and "
+                 "effective-hopping"),
+    ("--lambda", "lambda_g", "effective coupling; the lambda_values list for "
+                             "sweep-lambda and effective-hopping"),
     ("--j", "j_hop", "bare hopping"),
     ("--tmax", "t_max", "grid end time"),
     ("--dt", "dt", "grid spacing"),
@@ -484,13 +486,25 @@ def _build_parser():
     return parser
 
 
+# (flag, key, list key, verbs that read the list): on those verbs the flag
+# sets the list, one value meaning a one-point list; elsewhere the scalar
+_LIST_FLAGS = (
+    ("--s", "s", "s_values", ("sweep-s", "effective-hopping")),
+    ("--lambda", "lambda_g", "lambda_values", ("sweep-lambda", "effective-hopping")),
+)
+
+
 def _flags_from_args(args) -> dict:
     flags = {key: getattr(args, key) for _, key, _ in _FLAGS
              if getattr(args, key) is not None}
-    # comma lists on --s / --lambda feed the sweep value lists instead
-    for key, list_key in (("s", "s_values"), ("lambda_g", "lambda_values")):
-        if "," in str(flags.get(key, "")):
+    for flag, key, list_key, verbs in _LIST_FLAGS:
+        if key not in flags:
+            continue
+        if args.verb in verbs:
             flags[list_key] = flags.pop(key)
+        elif "," in flags[key]:
+            raise ConfigError(f"{flag} takes one value for {args.verb}; "
+                              f"only {' and '.join(verbs)} read a list")
     return flags
 
 

@@ -46,6 +46,8 @@ __all__ = [
 
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-8
+# largest final-state change evolve_ode accepts between steps dt and dt/2
+SELF_CHECK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -136,13 +138,6 @@ class Trajectory:
         object.__setattr__(self, "pop_diff", pd)
         object.__setattr__(self, "coherence_normalized", normalized)
 
-    def state_at(self, k: int) -> DensityMatrixST:
-        return DensityMatrixST(
-            rho_ss=float(self.rho_ss[k]),
-            rho_tt=float(self.rho_tt[k]),
-            rho_st=complex(self.rho_st[k]),
-        )
-
     def trace_error(self) -> float:
         return float(np.max(np.abs(self.rho_ss + self.rho_tt - 1.0)))
 
@@ -176,14 +171,12 @@ class Trajectory:
                    self.rho_st.real, self.rho_st.imag, self.coherence, self.pop_diff])
 
 
-def trajectory_from_matrices(grid: TimeGrid, matrices: np.ndarray,
-                             check: bool = True) -> Trajectory:
-    """Wrap an array of [T, S]-ordered 2x2 matrices as a Trajectory."""
+def trajectory_from_matrices(grid: TimeGrid, matrices: np.ndarray) -> Trajectory:
+    """Wrap an array of [T, S]-ordered 2x2 matrices as a checked Trajectory."""
     matrices = np.asarray(matrices, dtype=complex)
     traj = Trajectory(grid=grid, rho_ss=matrices[:, 1, 1].real,
                       rho_tt=matrices[:, 0, 0].real, rho_st=matrices[:, 1, 0])
-    if check:
-        traj.check_invariants()
+    traj.check_invariants()
     return traj
 
 
@@ -198,13 +191,11 @@ def _closed_form_arrays(rho0: DensityMatrixST, rates: RateTable):
     return rho_ss, rho_tt, rho_st
 
 
-def evolve_closed_form(rho0: DensityMatrixST, rates: RateTable,
-                       check: bool = True) -> Trajectory:
+def evolve_closed_form(rho0: DensityMatrixST, rates: RateTable) -> Trajectory:
     """Exact solution on the rate grid, using the stored running integrals."""
     rho_ss, rho_tt, rho_st = _closed_form_arrays(rho0, rates)
     traj = Trajectory(grid=rates.grid, rho_ss=rho_ss, rho_tt=rho_tt, rho_st=rho_st)
-    if check:
-        traj.check_invariants()
+    traj.check_invariants()
     return traj
 
 
@@ -230,29 +221,27 @@ def _rk4_run(rho0: DensityMatrixST, rates: RateTable, refine: int = 1):
     return np.column_stack([0.5 * (1.0 + y[0]), y[1], y[2]])
 
 
-def evolve_ode(rho0: DensityMatrixST, rates: RateTable, check: bool = True,
-               self_check_tol: float = 1e-8) -> Trajectory:
+def evolve_ode(rho0: DensityMatrixST, rates: RateTable) -> Trajectory:
     """RK4 integration of the rate equations on the rate grid.
 
     Rates at half steps are linearly interpolated from the table. Every run
     performs a step-halving self check: the final state is recomputed at
-    dt/2 and the difference must stay below self_check_tol (RK4 global
+    dt/2 and the difference must stay below SELF_CHECK_TOL (RK4 global
     error scales as dt^4, so a failure flags an inadequate grid).
     """
     out = _rk4_run(rho0, rates, refine=1)
     fine_end = _rk4_run(rho0, rates, refine=2)[-1]
     drift = float(np.max(np.abs(out[-1] - fine_end)))
-    if not np.isfinite(drift) or drift > self_check_tol:
+    if not np.isfinite(drift) or drift > SELF_CHECK_TOL:
         raise NumericalError(
             f"step-halving self check failed: dt vs dt/2 differ by {drift:.3e} "
-            f"(tolerance {self_check_tol:.1e}); refine the grid"
+            f"(tolerance {SELF_CHECK_TOL:.1e}); refine the grid"
         )
     # rho_TS = x + i y, stored amplitude is its conjugate rho_ST
     rho_st = out[:, 1] - 1j * out[:, 2]
     traj = Trajectory(grid=rates.grid, rho_ss=out[:, 0], rho_tt=1.0 - out[:, 0],
                       rho_st=rho_st)
-    if check:
-        traj.check_invariants()
+    traj.check_invariants()
     return traj
 
 

@@ -1,9 +1,9 @@
 """Numerical primitives: Dawson-type transforms, Gauss-Kronrod quadrature
 and cumulative trapezoid integration.
 
-Everything here is a pure function of its inputs and safe to call
-concurrently. All quantities are dimensionless (energies in units of the
-bath cutoff, times in inverse-cutoff units).
+Everything here is a pure function of its inputs. All quantities are
+dimensionless (energies in units of the bath cutoff, times in inverse-cutoff
+units).
 """
 
 from __future__ import annotations

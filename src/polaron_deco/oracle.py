@@ -63,6 +63,14 @@ __all__ = [
     "trace_distance",
 ]
 
+# largest Hilbert dimension TruncatedBathConfig accepts
+DIM_CAP = 4096
+# displaced-vacuum weight beyond n_max above which lang_firsov_check is
+# inconclusive
+TAIL_THRESHOLD = 1e-6
+# upper edge of the frequency band ohmic_mode_config discretizes, in units of W
+OMEGA_MAX = 4.0
+
 # rows are <T|, <S| expressed in the site basis {|10>, |01>}
 _ST_FROM_SITE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
@@ -76,7 +84,8 @@ class TruncatedBathConfig:
     n_max: Fock cutoff per mode (states 0..n_max).
     epsilon_onsite: onsite energy (an identity shift in the sector).
     j_hop: bare hopping J.
-    dim_cap: refuse to build spaces larger than this.
+
+    Spaces larger than DIM_CAP are refused.
     """
 
     mode_freqs: tuple
@@ -85,7 +94,6 @@ class TruncatedBathConfig:
     n_max: int
     j_hop: float
     epsilon_onsite: float = 0.0
-    dim_cap: int = 4096
 
     def __post_init__(self):
         freqs = tuple(float(w) for w in self.mode_freqs)
@@ -105,10 +113,8 @@ class TruncatedBathConfig:
         object.__setattr__(self, "mode_freqs", freqs)
         object.__setattr__(self, "g_site1", g1)
         object.__setattr__(self, "g_site2", g2)
-        if self.dim > self.dim_cap:
-            raise ConfigError(
-                f"Hilbert dimension {self.dim} exceeds cap {self.dim_cap}"
-            )
+        if self.dim > DIM_CAP:
+            raise ConfigError(f"Hilbert dimension {self.dim} exceeds cap {DIM_CAP}")
 
     @property
     def n_modes(self) -> int:
@@ -146,11 +152,10 @@ class TruncatedBathConfig:
 
 def ohmic_mode_config(n_modes: int = 2, n_max: int = 6, coupling: float = 1.0,
                       s: float = math.pi, j_hop: float = 0.5,
-                      epsilon_onsite: float = 0.0, omega_max: float = 4.0,
-                      dim_cap: int = 4096) -> TruncatedBathConfig:
+                      epsilon_onsite: float = 0.0) -> TruncatedBathConfig:
     """Deterministic discretization of the Ohmic-Gaussian bath.
 
-    Modes sit at omega_j = (j - 1/2) * domega on (0, omega_max] with
+    Modes sit at omega_j = (j - 1/2) * domega on (0, OMEGA_MAX] with
     |g_j|^2 = coupling * omega_j * exp(-omega_j^2) * domega, and the site-2
     phase e^{-i omega_j s} implements the separation under linear
     dispersion. Refining domega converges to the continuum kernels.
@@ -160,14 +165,14 @@ def ohmic_mode_config(n_modes: int = 2, n_max: int = 6, coupling: float = 1.0,
     g_1 + g_2 vanishes; that is the regime in which the pulse train's
     per-cycle error is purely second order, see run_bangbang.
     """
-    dw = omega_max / n_modes
+    dw = OMEGA_MAX / n_modes
     w = (np.arange(n_modes) + 0.5) * dw
     g_mag = np.sqrt(coupling * w * np.exp(-w * w) * dw)
     g1 = g_mag.astype(complex)
     g2 = g_mag * np.exp(-1j * w * s)
     return TruncatedBathConfig(
         mode_freqs=tuple(w), g_site1=tuple(g1), g_site2=tuple(g2),
-        n_max=n_max, j_hop=j_hop, epsilon_onsite=epsilon_onsite, dim_cap=dim_cap,
+        n_max=n_max, j_hop=j_hop, epsilon_onsite=epsilon_onsite,
     )
 
 
@@ -334,8 +339,8 @@ def _coherent_tail(weight: float, n_max: int) -> float:
     return max(0.0, 1.0 - acc)
 
 
-def lang_firsov_check(config: TruncatedBathConfig, include_two_particle: bool = True,
-                      tail_threshold: float = 1e-6) -> LangFirsovReport:
+def lang_firsov_check(config: TruncatedBathConfig,
+                      include_two_particle: bool = True) -> LangFirsovReport:
     """Numerical verification of the displacement transformation.
 
     Checks, on the truncated space: (i) the spectrum is invariant under the
@@ -344,7 +349,7 @@ def lang_firsov_check(config: TruncatedBathConfig, include_two_particle: bool = 
     optionally (iii) the two-particle block's vacuum energy carries the
     polaron shift -sum_k (|g_1k|^2 + |g_2k|^2)/omega_k minus the induced
     interaction. A Poisson estimate of the displaced-vacuum weight beyond
-    n_max qualifies the result: above tail_threshold the report is marked
+    n_max qualifies the result: above TAIL_THRESHOLD the report is marked
     inconclusive and suggests a larger cutoff.
     """
     ham = build_hamiltonian(config)
@@ -361,10 +366,10 @@ def lang_firsov_check(config: TruncatedBathConfig, include_two_particle: bool = 
 
     tail = float(sum(_coherent_tail(wk, config.n_max) for wk in config.alpha_weights()))
     suggested = config.n_max
-    while tail > tail_threshold and suggested < 60:
+    while tail > TAIL_THRESHOLD and suggested < 60:
         suggested += 2
         tail_try = sum(_coherent_tail(wk, suggested) for wk in config.alpha_weights())
-        if tail_try <= tail_threshold:
+        if tail_try <= TAIL_THRESHOLD:
             break
 
     two_shift = two_expected = None
@@ -389,7 +394,7 @@ def lang_firsov_check(config: TruncatedBathConfig, include_two_particle: bool = 
         hop_expected=hop_expected,
         truncation_tail=tail,
         suggested_n_max=suggested,
-        conclusive=tail <= tail_threshold,
+        conclusive=tail <= TAIL_THRESHOLD,
         two_particle_shift=two_shift,
         two_particle_expected=two_expected,
     )

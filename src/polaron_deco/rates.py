@@ -4,9 +4,11 @@ With the kernels K_c, K_s of the bath module, the second-order rates are
 single integrals over the elapsed-time variable u = t - tau:
 
     gamma_pm(t) = 2 Jt^2 int_0^t [ e^{+-K_c(u)} cos(K_s(u)) - 1 ] du
-    beta(t)     = 2 Jt^2 int_0^t   e^{+K_c(u)}  sin(K_s(u))       du
 
-where Jt is the dressed hopping. The composite rates are stored redundantly
+where Jt is the dressed hopping. The second-order expansion also yields a
+Lamb-shift rate beta(t) = 2 Jt^2 int_0^t e^{K_c(u)} sin(K_s(u)) du, but it
+multiplies a commutator that vanishes on the single-particle sector
+(dynamics.lamb_shift_vanishes), so it is not computed. The composite rates are stored redundantly
 as definitions,
 
     G0 = (2 gamma_+ - gamma_-)/2,  G1 = 2 gamma_+ + gamma_-,  G2 = 4 gamma_+,
@@ -25,14 +27,14 @@ import numpy as np
 
 from .bath import BathModel, KernelTable, build_kernel_table, effective_hopping_ratio
 from .errors import ConfigError
-from .numerics import QuadratureSpec, TimeGrid, cumulative_trapezoid
+from .numerics import TimeGrid, cumulative_trapezoid
 
 __all__ = ["RateTable", "build_rate_table", "build_rate_table_from_kernels", "rate_at"]
 
 log = logging.getLogger(__name__)
 
 RATE_FIELDS = (
-    "gamma_plus", "gamma_minus", "beta",
+    "gamma_plus", "gamma_minus",
     "cap_gamma0", "cap_gamma1", "cap_gamma2",
     "cum_gamma0", "cum_gamma1", "cum_gamma2",
 )
@@ -44,7 +46,6 @@ class RateTable:
     j_tilde: float
     gamma_plus: np.ndarray
     gamma_minus: np.ndarray
-    beta: np.ndarray
     cap_gamma0: np.ndarray
     cap_gamma1: np.ndarray
     cap_gamma2: np.ndarray
@@ -59,15 +60,6 @@ class RateTable:
                 raise ConfigError(f"{name} length does not match grid")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def to_csv(self, path):
-        """Debug dump of the raw rates and running integrals."""
-        from .output import write_csv
-
-        write_csv(path, ["t", "gamma_plus", "gamma_minus", "beta",
-                         "cum_gamma0", "cum_gamma1", "cum_gamma2"],
-                  [self.grid.points, self.gamma_plus, self.gamma_minus,
-                   self.beta, self.cum_gamma0, self.cum_gamma1, self.cum_gamma2])
 
 
 def build_rate_table_from_kernels(kernels: KernelTable, j_hop: float,
@@ -85,11 +77,9 @@ def build_rate_table_from_kernels(kernels: KernelTable, j_hop: float,
     cos_ks = np.cos(kernels.k_sin)
     f_plus = np.exp(kernels.k_cos) * cos_ks - 1.0
     f_minus = np.exp(-kernels.k_cos) * cos_ks - 1.0
-    f_beta = np.exp(kernels.k_cos) * np.sin(kernels.k_sin)
 
     gamma_plus = pref * cumulative_trapezoid(f_plus, grid)
     gamma_minus = pref * cumulative_trapezoid(f_minus, grid)
-    beta = pref * cumulative_trapezoid(f_beta, grid)
 
     # soft monitor only: the ordering can flip once cos(K_s) changes sign
     crossings = np.nonzero(gamma_plus < gamma_minus - 1e-12)[0]
@@ -109,7 +99,6 @@ def build_rate_table_from_kernels(kernels: KernelTable, j_hop: float,
         j_tilde=j_tilde,
         gamma_plus=gamma_plus,
         gamma_minus=gamma_minus,
-        beta=beta,
         cap_gamma0=cap0,
         cap_gamma1=cap1,
         cap_gamma2=cap2,
@@ -119,19 +108,13 @@ def build_rate_table_from_kernels(kernels: KernelTable, j_hop: float,
     )
 
 
-def build_rate_table(model: BathModel, j_hop: float, grid: TimeGrid,
-                     kernels: KernelTable | None = None,
-                     spec: QuadratureSpec | None = None) -> RateTable:
+def build_rate_table(model: BathModel, j_hop: float, grid: TimeGrid) -> RateTable:
     """Full rate table for a continuum bath model.
 
-    Kernels are tabulated once per (model, grid) and reused; the dressed
-    hopping comes from the closed-form ratio so the two routes stay
-    independently testable.
+    The kernels are tabulated once on grid; the dressed hopping comes from
+    the closed-form ratio so the two routes stay independently testable.
     """
-    if kernels is None:
-        kernels = build_kernel_table(model, grid, spec)
-    elif kernels.grid != grid:
-        raise ConfigError("kernel table grid does not match rate grid")
+    kernels = build_kernel_table(model, grid)
     j_tilde = j_hop * effective_hopping_ratio(model)
     return build_rate_table_from_kernels(kernels, j_hop, j_tilde=j_tilde)
 

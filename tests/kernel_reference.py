@@ -14,20 +14,18 @@ from polaron_deco.numerics import OMEGA_TRUNCATION, composite_gk15_nodes
 
 def direct_kernel_sums(model, grid):
     """(k_cos, k_sin, err_cos, err_sin) on grid, scaled like the table."""
-    w = model.omega_c
     nodes, weights, err_weights = composite_gk15_nodes(
-        OMEGA_TRUNCATION, w * (grid.t_max + model.s))
-    g = nodes * np.exp(-nodes * nodes) * (1.0 - sinc(nodes * w * model.s))
+        OMEGA_TRUNCATION, grid.t_max + model.s)
+    g = nodes * np.exp(-nodes * nodes) * (1.0 - sinc(nodes * model.s))
     gw = g * weights
     ge = g * err_weights
-    scale = 2.0 * model.strength * w**2
+    scale = 2.0 * model.lambda_g
 
     n = len(grid)
     chunk = 1024
     out = np.empty((4, n))
-    theta = w * grid.points
     for i in range(0, n, chunk):
-        phase = np.outer(theta[i:i + chunk], nodes)
+        phase = np.outer(grid.points[i:i + chunk], nodes)
         c = np.cos(phase)
         s = np.sin(phase)
         out[0, i:i + chunk] = c @ gw

@@ -55,14 +55,9 @@ class TestBathModel:
             BathModel(lambda_g=-1.0)
         with pytest.raises(ConfigError):
             BathModel(s=-0.5)
-        with pytest.raises(ConfigError):
-            BathModel(omega_c=0.0)
-        with pytest.raises(ConfigError):
-            BathModel(geometry_factor=0.0)
 
     @pytest.mark.parametrize("field,value", [
-        ("lambda_g", np.nan), ("lambda_g", np.inf), ("s", np.nan), ("s", np.inf),
-        ("omega_c", np.inf), ("geometry_factor", np.nan)])
+        ("lambda_g", np.nan), ("lambda_g", np.inf), ("s", np.nan), ("s", np.inf)])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             BathModel(**{field: value})
@@ -116,21 +111,17 @@ class TestKernels:
         assert abs(pd.kernel_sin(50.0, model)) < 1e-6
 
     def test_cutoff_scaling(self):
-        # raw defining integral at a cutoff of 2, against the internal
-        # dimensionless reduction
-        omega_c, s, tau = 2.0, 1.3, 0.7
-        model = BathModel(lambda_g=1.0, omega_c=omega_c, s=s)
-        ref, _ = quad(
-            lambda w: w * np.exp(-(w / omega_c) ** 2)
+        # the raw defining integral at a cutoff W = 2 is the library (W = 1)
+        # kernel at (lambda W^2, W s, W tau): the rescaling the removed
+        # omega_c key's error message and the README prescribe
+        cutoff, lam, s, tau = 2.0, 0.8, 1.3, 0.7
+        raw, _ = quad(
+            lambda w: w * np.exp(-(w / cutoff) ** 2)
             * (1 - np.sinc(w * s / np.pi)) * np.cos(w * tau),
-            0.0, 10.0 * omega_c, limit=2000, epsabs=1e-13, epsrel=1e-12)
-        assert pd.kernel_cos(tau, model) == pytest.approx(2.0 * ref, abs=1e-10)
-
-    def test_geometry_factor_scales_linearly(self):
-        base = BathModel(lambda_g=1.0, s=1.0)
-        doubled = BathModel(lambda_g=1.0, s=1.0, geometry_factor=2.0)
-        assert pd.kernel_cos(1.0, doubled) == pytest.approx(
-            2.0 * pd.kernel_cos(1.0, base), rel=1e-12)
+            0.0, 10.0 * cutoff, limit=2000, epsabs=1e-13, epsrel=1e-12)
+        model = BathModel(lambda_g=lam * cutoff**2, s=cutoff * s)
+        assert pd.kernel_cos(cutoff * tau, model) == pytest.approx(
+            2.0 * lam * raw, abs=1e-10)
 
 
 class TestEffectiveHopping:
@@ -166,11 +157,18 @@ class TestEffectiveHopping:
             assert abs(r - np.exp(-lam / 2.0)) < 1e-3
 
     def test_cutoff_scaling(self):
-        omega_c, s = 2.0, 3.0
-        got = pd.effective_hopping_ratio(BathModel(lambda_g=1.0, omega_c=omega_c, s=s))
-        zs = omega_c * s
-        expected = np.exp(-omega_c**2 * (0.5 - float(dawsn(zs / 2)) / zs))
-        assert got == pytest.approx(expected, rel=1e-12)
+        # exp(-K_c(0)/2) at a cutoff W = 2, from the raw integral and from
+        # its Dawson form, is the library ratio at (lambda W^2, W s)
+        cutoff, lam, s = 2.0, 1.0, 3.0
+        raw, _ = quad(
+            lambda w: w * np.exp(-(w / cutoff) ** 2) * (1 - np.sinc(w * s / np.pi)),
+            0.0, 10.0 * cutoff, limit=2000, epsabs=1e-13, epsrel=1e-12)
+        zs = cutoff * s
+        dawson_form = cutoff**2 * (0.5 - float(dawsn(zs / 2)) / zs)
+        assert raw == pytest.approx(dawson_form, rel=1e-10)
+        got = pd.effective_hopping_ratio(BathModel(lambda_g=lam * cutoff**2, s=zs))
+        assert got == pytest.approx(np.exp(-lam * dawson_form), rel=1e-12)
+        assert got == pytest.approx(np.exp(-lam * raw), rel=1e-10)
 
     def test_consistent_with_kernel(self):
         model = BathModel(lambda_g=1.3, s=2.0)
@@ -279,6 +277,14 @@ class TestKernelTable:
 SMALL_GRIDS = [(4.8, 0.1), (4.9, 0.1), (0.2, 0.1), (1.0, 1.0)]
 
 
+def scaled_case(s, t_max, dt, cutoff):
+    """The model and grid of (s, t_max, dt) at a Gaussian cutoff W, in units
+    of W: s W on (t_max W, dt W), with the same points and oscillations."""
+    grid = TimeGrid(t_max=t_max * cutoff, dt=dt * cutoff)
+    assert len(grid) == len(TimeGrid(t_max=t_max, dt=dt))
+    return BathModel(lambda_g=1.0, s=s * cutoff), grid
+
+
 class TestKernelTableAngleAddition:
     """bath._kernel_sums against the direct cos/sin phase block."""
 
@@ -294,11 +300,10 @@ class TestKernelTableAngleAddition:
             assert np.max(np.abs(a - b)) <= tol, name
 
     @pytest.mark.parametrize("t_max, dt", SMALL_GRIDS)
-    @pytest.mark.parametrize("omega_c", [0.3, 3.1])
+    @pytest.mark.parametrize("cutoff", [0.3, 3.1])
     @pytest.mark.parametrize("s", [0.01, 1.0, 10.0, 100.0])
-    def test_small_grids(self, s, omega_c, t_max, dt):
-        self.assert_matches_direct(BathModel(lambda_g=1.0, s=s, omega_c=omega_c),
-                                   TimeGrid(t_max=t_max, dt=dt))
+    def test_small_grids(self, s, cutoff, t_max, dt):
+        self.assert_matches_direct(*scaled_case(s, t_max, dt, cutoff))
 
     @pytest.mark.parametrize("t_max, dt", SMALL_GRIDS)
     def test_capped_block_and_chunks(self, monkeypatch, t_max, dt):
@@ -306,13 +311,12 @@ class TestKernelTableAngleAddition:
         # and block starts beyond sqrt(n), as on grids longer than 256^2
         monkeypatch.setattr(bath, "_MAX_BLOCK", 3)
         monkeypatch.setattr(bath, "_START_CHUNK", 2)
-        self.assert_matches_direct(BathModel(lambda_g=1.0, s=10.0, omega_c=3.1),
-                                   TimeGrid(t_max=t_max, dt=dt))
+        self.assert_matches_direct(*scaled_case(10.0, t_max, dt, 3.1))
 
-    @pytest.mark.parametrize("s, omega_c", [
+    @pytest.mark.parametrize("s, cutoff", [
         (0.01, 0.3), (1.0, 0.3), (10.0, 0.3), (100.0, 0.3), (1.0, 1.0)])
-    def test_default_grid(self, default_grid, s, omega_c):
+    def test_default_grid(self, default_grid, s, cutoff):
         # 10001 points: blocks of 101, several chunks of block starts and a
         # two-point last block
-        self.assert_matches_direct(BathModel(lambda_g=1.0, s=s, omega_c=omega_c),
-                                   default_grid)
+        self.assert_matches_direct(
+            *scaled_case(s, default_grid.t_max, default_grid.dt, cutoff))

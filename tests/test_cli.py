@@ -237,6 +237,46 @@ class TestMain:
         assert code == 0
         assert (tmp_path / "fig2a.csv").exists()
 
+    @pytest.mark.parametrize("argv, key, expected", [
+        (["sweep-s", "--s", "5"], "s_values", "5.0"),
+        (["effective-hopping", "--s", "5"], "s_values", "5.0"),
+        (["effective-hopping", "--lambda", "3"], "lambda_values", "3.0"),
+        (["sweep-lambda", "--lambda", "3"], "lambda_values", "3.0"),
+        (["sweep-s", "--lambda", "3"], "lambda_g", "3.0"),
+        (["sweep-lambda", "--s", "7"], "s", "7.0"),
+    ])
+    def test_list_flags_per_verb(self, tmp_path, argv, key, expected):
+        # --s / --lambda set the list a verb sweeps (one value is a
+        # one-point list) and the scalar on every other verb
+        code = cli.main(argv + ["--tmax", "0.5", "--dt", "0.05",
+                                "--out", str(tmp_path)])
+        assert code == 0
+        echo = (tmp_path / "config_echo.cfg").read_text().splitlines()
+        assert f"{key} = {expected}" in echo
+
+    def test_single_value_sweep_writes_that_point(self, tmp_path):
+        code = cli.main(["sweep-s", "--s", "5", "--tmax", "0.5", "--dt", "0.05",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        header, _ = read_csv(tmp_path / "fig2a.csv")
+        assert header == ["t", "C_s=5"]
+
+    @pytest.mark.parametrize("argv", [
+        ["single", "--s", "1,10"],
+        ["single", "--lambda", "1,2"],
+        ["sweep-s", "--lambda", "1,2"],
+        ["sweep-lambda", "--s", "1,2"],
+        ["bangbang", "--s", "1,2"],
+        ["oracle-compare", "--lambda", "0.1,0.2"],
+    ])
+    def test_list_on_scalar_verb_exit_code(self, tmp_path, capsys, argv):
+        code = cli.main(argv + ["--out", str(tmp_path)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert "takes one value" in record["message"]
+        assert not (tmp_path / "config_echo.cfg").exists()
+
     def test_oracle_flags(self, tmp_path):
         code = cli.main(["bangbang", "--cycles", "4,8,16", "--modes", "2",
                          "--nmax", "4", "--out", str(tmp_path)])

@@ -151,21 +151,18 @@ class TestEvolvers:
         traj = pd.evolve_ode(fig2_state(), table)
         assert traj.rho_ss[-1] == fig2_state().rho_ss
 
-    @pytest.mark.parametrize("cutoff", [1.7, 0.3, 3.1])
-    def test_cutoff_and_geometry_factor_are_rescalings(self, cutoff):
-        # (lambda, W, s, gf, J) on (t_max, dt) is (lambda gf W^2, 1, W s, 1, J/W)
-        # on (W t_max, W dt): omega_c and geometry_factor carry no other physics
-        lam, s, gf, j_hop, rho0 = 0.8, 1.3, 1.4, 0.9, fig2_state()
-        scaled = pd.evolve_closed_form(rho0, pd.build_rate_table(
-            BathModel(lambda_g=lam, omega_c=cutoff, s=s, geometry_factor=gf),
-            j_hop, TimeGrid(t_max=10.0, dt=0.01)))
-        unit = pd.evolve_closed_form(rho0, pd.build_rate_table(
-            BathModel(lambda_g=lam * gf * cutoff**2, s=cutoff * s),
-            j_hop / cutoff, TimeGrid(t_max=cutoff * 10.0, dt=cutoff * 0.01)))
-        assert len(unit.grid) == len(scaled.grid)
-        assert np.max(np.abs(scaled.rho_st - scaled.rho_st[0])) > 1e-3  # not frozen
-        for name in ("rho_ss", "rho_tt", "rho_st"):
-            assert np.max(np.abs(getattr(scaled, name) - getattr(unit, name))) <= 1e-12
+    def test_self_check_threshold(self):
+        # dt vs dt/2 final states differ by 1.5e-8 at dt = 0.05 and by
+        # ~6e-9 at dt = 0.04, either side of the 1e-8 tolerance
+        def evolve(dt):
+            grid = TimeGrid(t_max=2.0, dt=dt)
+            table = pd.build_rate_table_from_kernels(
+                pd.kernel_table_from_modes([1.0], [1.0], grid), 1.0)
+            return pd.evolve_ode(fig2_state(), table)
+
+        evolve(0.04)
+        with pytest.raises(NumericalError, match="1.5[0-9]*e-08"):
+            evolve(0.05)
 
     def test_self_check_catches_unstable_grid(self):
         # rates far too stiff for the step size must trip the halving check

@@ -56,6 +56,10 @@ class TestConfig:
             TruncatedBathConfig(mode_freqs=(1.0, 2.0, 3.0, 4.0),
                                 g_site1=(0.1,) * 4, g_site2=(0.0,) * 4,
                                 n_max=7, j_hop=1.0)
+        # the cap sits at dim 4096: one mode with 2048 Fock states fits
+        assert single_mode(n_max=2047).dim == 4096
+        with pytest.raises(ConfigError, match="4098 exceeds cap 4096"):
+            single_mode(n_max=2048)
 
     def test_positive_frequencies(self):
         with pytest.raises(ConfigError):
@@ -182,6 +186,17 @@ class TestLangFirsov:
             - (2 * 0.3 * 0.2 + 2 * 0.1 * 0.05 / 2.0), rel=1e-12)
         assert report.two_particle_shift == pytest.approx(
             report.two_particle_expected, abs=1e-8)
+
+    def test_tail_threshold(self):
+        # the displaced-vacuum weight beyond n_max = 4 is 7.6e-7 at
+        # alpha = 0.40 and 1.2e-6 at 0.42, either side of the 1e-6 threshold
+        below = pd.lang_firsov_check(single_mode(alpha=0.40, n_max=4),
+                                     include_two_particle=False)
+        above = pd.lang_firsov_check(single_mode(alpha=0.42, n_max=4),
+                                     include_two_particle=False)
+        assert 5e-7 < below.truncation_tail < 1e-6 < above.truncation_tail < 2e-6
+        assert below.conclusive and below.suggested_n_max == 4
+        assert not above.conclusive and above.suggested_n_max == 6
 
     def test_inconclusive_when_truncated_too_hard(self):
         report = pd.lang_firsov_check(single_mode(alpha=2.0, n_max=2),

@@ -38,14 +38,13 @@ class TestRateTable:
     def test_zero_at_origin(self, table_s1):
         assert table_s1.gamma_plus[0] == 0.0
         assert table_s1.gamma_minus[0] == 0.0
-        assert table_s1.beta[0] == 0.0
         for name in ("cum_gamma0", "cum_gamma1", "cum_gamma2"):
             assert getattr(table_s1, name)[0] == 0.0
 
     def test_decoupled_bath_all_zero(self):
         grid = TimeGrid(t_max=5.0, dt=0.05)
         table = pd.build_rate_table(BathModel(lambda_g=1.0, s=0.0), 1.0, grid)
-        for name in ("gamma_plus", "gamma_minus", "beta",
+        for name in ("gamma_plus", "gamma_minus",
                      "cap_gamma0", "cap_gamma1", "cap_gamma2"):
             assert np.all(getattr(table, name) == 0.0)
         assert table.j_tilde == 1.0
@@ -68,14 +67,6 @@ class TestRateTable:
     def test_dressed_hopping(self, table_s1):
         expected = np.exp(-(0.5 - float(dawsn(0.5))))
         assert table_s1.j_tilde == pytest.approx(expected, rel=1e-12)
-
-    def test_kernel_grid_mismatch(self):
-        grid_a = TimeGrid(t_max=5.0, dt=0.05)
-        grid_b = TimeGrid(t_max=5.0, dt=0.1)
-        kernels = pd.build_kernel_table(BathModel(lambda_g=1.0, s=1.0), grid_a)
-        with pytest.raises(ConfigError):
-            pd.build_rate_table(BathModel(lambda_g=1.0, s=1.0), 1.0, grid_b,
-                                kernels=kernels)
 
     def test_change_of_variable_against_nested_quadrature(self, table_s1):
         # gamma_+(5) is finite and nonzero; its sign comes out negative here
@@ -104,14 +95,6 @@ class TestRateTable:
         assert table.j_tilde == pytest.approx(0.5 * np.exp(-0.25), rel=1e-12)
         assert table.gamma_plus[0] == 0.0
 
-    def test_csv_dump(self, table_s1, tmp_path):
-        path = tmp_path / "rates.csv"
-        table_s1.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0].split(",") == ["t", "gamma_plus", "gamma_minus", "beta",
-                                       "cum_gamma0", "cum_gamma1", "cum_gamma2"]
-        assert len(lines) == len(table_s1.grid) + 1
-
 
 class TestRateAt:
     def test_exact_at_grid_points(self, table_s1):
@@ -138,8 +121,10 @@ class TestRateAt:
             pd.rate_at(table_s1, 11.0, "gamma_plus")
 
     def test_unknown_selector(self, table_s1):
-        with pytest.raises(ConfigError):
-            pd.rate_at(table_s1, 1.0, "gamma_three")
+        # beta is not tabulated: its commutator vanishes on the sector
+        for which in ("gamma_three", "beta"):
+            with pytest.raises(ConfigError, match="unknown rate selector"):
+                pd.rate_at(table_s1, 1.0, which)
 
     def test_array_matches_scalar_calls(self, table_s1):
         t = np.array([[0.0, 0.0025, 1.234], [5.0, 9.9975, 10.0]])
@@ -147,7 +132,7 @@ class TestRateAt:
         assert out.shape == t.shape
         expected = [pd.rate_at(table_s1, float(v), "cap_gamma0") for v in t.ravel()]
         assert np.array_equal(out.ravel(), expected)
-        assert pd.rate_at(table_s1, np.array([]), "beta").shape == (0,)
+        assert pd.rate_at(table_s1, np.array([]), "gamma_minus").shape == (0,)
 
     @pytest.mark.parametrize("bad", [-0.5, 11.0, np.nan])
     def test_array_with_one_bad_element(self, table_s1, bad):
