@@ -126,6 +126,12 @@ _REMOVED_KEYS = {
     "seed": "it was never read; delete the line",
 }
 
+# scalar key -> (list key, verbs that sweep the list and never read the scalar)
+_SWEPT_KEYS = {
+    "s": ("s_values", ("sweep-s", "effective-hopping")),
+    "lambda_g": ("lambda_values", ("sweep-lambda", "effective-hopping")),
+}
+
 # mode-specific defaults applied before file and flag overrides
 _MODE_DEFAULTS = {
     "bangbang": {"s": math.pi, "j_hop": 0.5},
@@ -172,6 +178,12 @@ def parse_config(file_text=None, flags=None, mode=None) -> ExperimentConfig:
 
     resolved_mode = mode or flag_values.get("mode") or file_values.get("mode") \
         or "single"
+    for key, (list_key, verbs) in _SWEPT_KEYS.items():
+        # a config echo names both keys; a file naming only the scalar would
+        # silently run the default list
+        if resolved_mode in verbs and key in file_values and list_key not in file_values:
+            raise ConfigError(f"config file: {resolved_mode} sweeps {list_key} and "
+                              f"ignores {key!r}; set {list_key} instead")
     merged = dict(_MODE_DEFAULTS.get(resolved_mode, {}))
     merged.update(file_values)
     merged.update(flag_values)
@@ -486,20 +498,15 @@ def _build_parser():
     return parser
 
 
-# (flag, key, list key, verbs that read the list): on those verbs the flag
-# sets the list, one value meaning a one-point list; elsewhere the scalar
-_LIST_FLAGS = (
-    ("--s", "s", "s_values", ("sweep-s", "effective-hopping")),
-    ("--lambda", "lambda_g", "lambda_values", ("sweep-lambda", "effective-hopping")),
-)
-
-
 def _flags_from_args(args) -> dict:
+    """Flag values by config key. On the verbs that sweep a key, its flag
+    sets the list (one value meaning a one-point list); elsewhere the scalar."""
     flags = {key: getattr(args, key) for _, key, _ in _FLAGS
              if getattr(args, key) is not None}
-    for flag, key, list_key, verbs in _LIST_FLAGS:
-        if key not in flags:
+    for flag, key, _ in _FLAGS:
+        if key not in _SWEPT_KEYS or key not in flags:
             continue
+        list_key, verbs = _SWEPT_KEYS[key]
         if args.verb in verbs:
             flags[list_key] = flags.pop(key)
         elif "," in flags[key]:

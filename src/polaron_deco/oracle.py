@@ -16,8 +16,11 @@ displacement writes a * sqrt(n_k) at one lowered index pair per mode and
 basis state, with its adjoint at the mirror position.
 
 Every exp(-i H t) below comes from one Propagator (the eigendecomposition
-of H, built once per Hamiltonian) applied to state vectors; pi pulses act on
-eigen-coefficients through V^dag Pi V, built once per run.
+of H, built once per Hamiltonian) applied to state vectors. A time series is
+propagated and reduced to 2x2 states in slices of at most CHUNK time points,
+so only a CHUNK x dim block of amplitudes is ever held. Pi pulses act on
+eigen-coefficients through V^dag Pi V, built once per run, and every pulse
+schedule of a run advances in lockstep through one product per half cycle.
 
 Frames: when |g_1k| = |g_2k| for every mode (every ohmic_mode_config), the
 antiunitary (site swap) x (complex conjugation) commutes with H after the
@@ -70,6 +73,9 @@ DIM_CAP = 4096
 TAIL_THRESHOLD = 1e-6
 # upper edge of the frequency band ohmic_mode_config discretizes, in units of W
 OMEGA_MAX = 4.0
+# time points per slice that exact_decoherence_reference propagates and
+# reduces at once, so its memory is O(CHUNK * dim) whatever the grid length
+CHUNK = 128
 
 # rows are <T|, <S| expressed in the site basis {|10>, |01>}
 _ST_FROM_SITE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
@@ -570,6 +576,11 @@ def run_bangbang(config: TruncatedBathConfig, rho0: DensityMatrixST,
     (the pulse Pi acts first) and, once for all schedules, freely for the
     same total time; both reduced states are compared to rho0 after undoing
     the ideal rotation.
+    All schedules run in lockstep: their branch rows are stacked, longest
+    schedule first, each row with its own exp(-i E dt), and every half
+    cycle applies V^dag Pi V once to the rows that still have steps left,
+    so the pulse matrix is read 2 * max(N) times rather than 2 * sum(N).
+    Results come sorted by delta_t.
     With at least three schedules of a common total time, a log-log fit of
     the pulsed distance against delta_t estimates the scaling exponent
     (2 for a purely second-order per-cycle error accumulated over T/(2 dt)
@@ -598,20 +609,22 @@ def run_bangbang(config: TruncatedBathConfig, rho0: DensityMatrixST,
         return trace_distance(undo[:, None] * rho * undo.conj(), rho0_matrix)
 
     distance_free = distance(prop.evolve(psi0, total_time))
-    c0 = prop.coefficients(psi0)
     # row j of pulse_t is the coefficients of Pi v_j: (V^dag Pi V)^T
     pulse_t = prop.coefficients(_on_blocks(frame.pulse, prop.vectors.T))
-    results = []
-    for sched in schedules:
-        dt = sched.delta_t
-        free = prop.phases(dt)
-        c = c0
-        for _ in range(2 * sched.cycles):
-            c = free * _matmul(c, pulse_t)
-        results.append(BangBangResult(
-            delta_t=dt, n_cycles=sched.cycles,
-            distance_pulsed=distance(prop.states(c)), distance_free=distance_free,
-        ))
+    # one block of branch rows per schedule, longest first, so the rows that
+    # still take a half cycle at step k are always a prefix
+    schedules.sort(key=lambda s: -s.cycles)
+    nb = len(psi0)
+    c = np.tile(prop.coefficients(psi0), (len(schedules), 1))
+    free = np.repeat(prop.phases([s.delta_t for s in schedules]), nb, axis=0)
+    half_cycles = np.repeat([2 * s.cycles for s in schedules], nb)
+    for k in range(half_cycles[0]):
+        n = np.count_nonzero(half_cycles > k)
+        c[:n] = free[:n] * _matmul(c[:n], pulse_t)
+    results = [BangBangResult(
+        delta_t=s.delta_t, n_cycles=s.cycles, distance_free=distance_free,
+        distance_pulsed=distance(prop.states(c[i * nb:(i + 1) * nb])),
+    ) for i, s in enumerate(schedules)]
     results.sort(key=lambda r: r.delta_t)
 
     slope = None
@@ -643,7 +656,9 @@ def exact_decoherence_reference(config: TruncatedBathConfig, rho0: DensityMatrix
     """Pulse-free reduced trajectory from the exact model, on grid.
 
     The bath starts in its vacuum; mixed initial qubit states are evolved
-    branch by branch and recombined (exact for linear evolution). States are
+    branch by branch and recombined (exact for linear evolution). Each
+    branch is propagated and reduced in slices of at most CHUNK time points
+    (equal lengths, so no slice is a short remainder). States are
     reported with the ideal rotation undone, which leaves the coherence
     magnitude and populations untouched.
     """
@@ -651,9 +666,15 @@ def exact_decoherence_reference(config: TruncatedBathConfig, rho0: DensityMatrix
     prop = Propagator(frame.ham)
     t = grid.points
     rho_t = np.zeros((len(t), 2, 2), dtype=complex)
+    # slices of equal length rather than a short last one: BLAS can take
+    # another kernel for a product of a few rows and change the last bits
+    slices = np.array_split(t, -(-len(t) // CHUNK))
     for p, vec in _initial_site_branches(rho0):
-        psi0 = _vacuum_state(frame.from_site @ vec, config.bath_dim)
-        rho_t += p * _reduced_st_series(prop.evolve(psi0, t), frame.to_st)
+        # prop.evolve per slice, with V^dag psi0 (one pass over V) taken once
+        c0 = prop.coefficients(_vacuum_state(frame.from_site @ vec, config.bath_dim))
+        rho_t += p * np.concatenate([
+            _reduced_st_series(prop.states(prop.phases(ts) * c0), frame.to_st)
+            for ts in slices])
     d = _ideal_rotation(config, t)
     rho_t = d[:, :, None] * rho_t * d.conj()[:, None, :]
     # t = 0 is the input itself, so a zero rho_ST(0) stays exactly zero and the

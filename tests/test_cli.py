@@ -277,6 +277,34 @@ class TestMain:
         assert "takes one value" in record["message"]
         assert not (tmp_path / "config_echo.cfg").exists()
 
+    @pytest.mark.parametrize("verb, key, list_key", [
+        ("sweep-s", "s", "s_values"),
+        ("effective-hopping", "s", "s_values"),
+        ("sweep-lambda", "lambda_g", "lambda_values"),
+        ("effective-hopping", "lambda_g", "lambda_values"),
+    ])
+    def test_swept_scalar_in_file_exit_code(self, tmp_path, capsys, verb, key, list_key):
+        # the verb sweeps the list, so the scalar alone would be echoed but
+        # never used while the default list runs
+        config = tmp_path / "f.cfg"
+        config.write_text(f"{key} = 5\n")
+        code = cli.main([verb, "--config", str(config), "--out", str(tmp_path)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert f"ignores {key!r}; set {list_key} instead" in record["message"]
+        assert not (tmp_path / "config_echo.cfg").exists()
+
+    def test_swept_scalar_with_list_in_file(self, tmp_path):
+        # a config echo names both keys; the list is what the sweep reads
+        config = tmp_path / "f.cfg"
+        config.write_text("s = 5\ns_values = 2\n")
+        code = cli.main(["sweep-s", "--config", str(config), "--tmax", "0.5",
+                         "--dt", "0.05", "--out", str(tmp_path)])
+        assert code == 0
+        header, _ = read_csv(tmp_path / "fig2a.csv")
+        assert header == ["t", "C_s=2"]
+
     def test_oracle_flags(self, tmp_path):
         code = cli.main(["bangbang", "--cycles", "4,8,16", "--modes", "2",
                          "--nmax", "4", "--out", str(tmp_path)])

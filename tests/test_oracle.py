@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import polaron_deco as pd
+from polaron_deco import oracle
 from polaron_deco import (
     ConfigError,
     DensityMatrixST,
@@ -12,7 +15,9 @@ from polaron_deco import (
     TimeGrid,
     TruncatedBathConfig,
 )
+from polaron_deco.dynamics import trajectory_from_matrices
 from polaron_deco.oracle import (
+    CHUNK,
     _SITE_SWAP,
     _ST_FROM_SITE,
     _frame,
@@ -23,6 +28,7 @@ from polaron_deco.oracle import (
 )
 from conftest import fig2_state
 from kron_reference import kron_generator, kron_hamiltonian
+from oracle_reference import one_block_rho, serial_bangbang
 
 
 def single_mode(alpha=0.5, n_max=12, j_hop=1.0, eps=0.0, omega=1.0):
@@ -406,6 +412,64 @@ class TestBangBang:
         assert len(lines) == 2 + 3
 
 
+# configs for the lockstep and chunking checks; the frame decides whether the
+# pulse products are real GEMMs on stacked parts or complex ones
+LOCKSTEP_CONFIGS = {
+    "real-s-2": lambda: ohmic_mode_config(n_modes=2, n_max=3, s=2.0),  # dim 32
+    "real-3x2": lambda: ohmic_mode_config(n_modes=3, n_max=2, coupling=0.5, s=1.3),
+    "lab-asymmetric": KRON_CONFIGS["complex-asymmetric"],  # |g_1k| != |g_2k|
+}
+
+LOCKSTEP_STATES = {
+    "pure": fig2_state,
+    "mixed": lambda: DensityMatrixST(rho_ss=0.6, rho_tt=0.4, rho_st=0.1 + 0.05j),
+}
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("cycles", [(4, 8, 16, 32, 64), (3, 7, 5, 7, 1), (2,)])
+    @pytest.mark.parametrize("state", list(LOCKSTEP_STATES))
+    @pytest.mark.parametrize("name", list(LOCKSTEP_CONFIGS))
+    def test_matches_serial_schedules(self, name, state, cycles):
+        cfg = LOCKSTEP_CONFIGS[name]()
+        rho0 = LOCKSTEP_STATES[state]()
+        schedules = [PulseSchedule(2.0, n) for n in cycles]
+        report = pd.run_bangbang(cfg, rho0, schedules)
+        reference = serial_bangbang(cfg, rho0, schedules)
+        assert [r.n_cycles for r in report.results] == sorted(cycles, reverse=True)
+        if _frame(cfg).ham.dtype == np.float64:
+            # the same real GEMMs row for row, whatever the row count
+            assert list(report.results) == reference
+        else:
+            # a complex GEMM over more rows may take another BLAS kernel
+            for row, ref in zip(report.results, reference):
+                assert (row.delta_t, row.n_cycles) == (ref.delta_t, ref.n_cycles)
+                assert row.distance_free == ref.distance_free
+                assert abs(row.distance_pulsed - ref.distance_pulsed) <= 1e-13
+
+    @pytest.mark.parametrize("cycles", [(4, 8, 16, 32, 64), (3, 7, 5, 7, 1)])
+    def test_pulse_matrix_products(self, monkeypatch, cycles):
+        cfg = LOCKSTEP_CONFIGS["real-s-2"]()
+        frame = _frame(cfg)
+        prop = Propagator(frame.ham)
+        pulse_t = prop.coefficients(_on_blocks(frame.pulse, prop.vectors.T))
+        matmul = oracle._matmul
+        products = []
+
+        def counting(a, m):
+            if m.shape == pulse_t.shape and np.array_equal(m, pulse_t):
+                products.append(len(a))
+            return matmul(a, m)
+
+        monkeypatch.setattr(oracle, "_matmul", counting)
+        pd.run_bangbang(cfg, fig2_state(), [PulseSchedule(4.0, n) for n in cycles])
+        # one product per half cycle of the longest schedule, not one per
+        # half cycle of every schedule
+        assert len(products) == 2 * max(cycles)
+        assert products[0] == len(cycles)  # every schedule's row at step 0
+        assert products[-1] == cycles.count(max(cycles))
+
+
 class TestExactReference:
     def test_decoupled_keeps_full_coherence(self):
         cfg = TruncatedBathConfig(mode_freqs=(1.0,), g_site1=(0.0,), g_site2=(0.0,),
@@ -442,6 +506,35 @@ class TestExactReference:
         b = pd.exact_decoherence_reference(shifted, fig2_state(), grid)
         assert np.max(np.abs(a.trajectory.coherence - b.trajectory.coherence)) < 1e-10
         assert np.max(np.abs(a.trajectory.pop_diff - b.trajectory.pop_diff)) < 1e-10
+
+
+class TestChunkedReduction:
+    @pytest.mark.parametrize("n_points", [2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    @pytest.mark.parametrize("state", list(LOCKSTEP_STATES))
+    @pytest.mark.parametrize("name", list(LOCKSTEP_CONFIGS))
+    def test_matches_one_block(self, name, state, n_points):
+        # a TimeGrid has at least two points; CHUNK + 1 and 3 * CHUNK + 7 are
+        # where fixed CHUNK-point slices would leave a short remainder
+        cfg = LOCKSTEP_CONFIGS[name]()
+        rho0 = LOCKSTEP_STATES[state]()
+        grid = TimeGrid(0.05 * (n_points - 1), 0.05)
+        assert len(grid.points) == n_points
+        traj = pd.exact_decoherence_reference(cfg, rho0, grid).trajectory
+        ref = trajectory_from_matrices(grid, one_block_rho(cfg, rho0, grid))
+        for field in ("rho_ss", "rho_tt", "rho_st", "coherence", "pop_diff"):
+            assert np.array_equal(getattr(traj, field), getattr(ref, field)), field
+
+    def test_peak_memory_below_one_amplitude_block(self):
+        cfg = ohmic_mode_config(n_modes=2, n_max=7, coupling=0.1, s=1, j_hop=0.1)
+        grid = TimeGrid(50.0, 0.0125)
+        block = len(grid.points) * cfg.dim * 16  # T x dim complex128: 8.19 MB
+        tracemalloc.start()
+        try:
+            pd.exact_decoherence_reference(cfg, fig2_state(), grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < block
 
 
 # configs with |g_1k| = |g_2k|, which the oracle runs in the real frame
