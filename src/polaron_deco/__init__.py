@@ -32,7 +32,6 @@ from .errors import (
     QuadratureError,
 )
 from .numerics import (
-    QuadratureSpec,
     TimeGrid,
     cumulative_trapezoid,
     dawson,

@@ -15,7 +15,10 @@ so that K_c(0) equals the total dressing weight and the effective hopping
 ratio is exp(-K_c(0)/2). At tau = 0 the integral has the closed form
 1/2 - F[s]/s in terms of the Gaussian sine transform F (see
 numerics.dawson_sine); that identity is the main cross-check between the
-quadrature and special-function routes and is enforced by the test suite.
+special-function route (BathModel.kernel_zero) and the quadrature route
+(kernel_cos, a fixed composite Gauss-Legendre rule), and is enforced by the
+test suite and the selftest. build_kernel_table uses a composite Kronrod
+rule whose embedded-Gauss error estimate must stay below TABLE_TOL.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import numpy as np
 from .errors import ConfigError, QuadratureError
 from .numerics import (
     OMEGA_TRUNCATION,
-    QuadratureSpec,
     TimeGrid,
     composite_gk15_nodes,
     dawson_sine,
@@ -110,15 +112,16 @@ class KernelTable:
 
 
 def _integrand_factory(model: BathModel, trig, tau: float):
+    # trig(x tau) * sinc(x s) oscillates at up to the sum frequency tau + s,
+    # the max_oscillation the callers pass to integrate_semiinf
     def f(x):
         return x * np.exp(-x * x) * (1.0 - sinc(x * model.s)) * trig(x * tau)
 
     return f
 
 
-def kernel_cos(tau: float, model: BathModel,
-               spec: QuadratureSpec | None = None) -> float:
-    """Cosine correlation kernel K_c(tau) by adaptive quadrature.
+def kernel_cos(tau: float, model: BathModel) -> float:
+    """Cosine correlation kernel K_c(tau) by the fixed reference rule.
 
     Identically zero when s = 0 (every mode couples to both sites with the
     same phase) or when lambda_g = 0.
@@ -127,18 +130,19 @@ def kernel_cos(tau: float, model: BathModel,
         raise ConfigError(f"tau must be >= 0, got {tau}")
     if model.lambda_g == 0.0 or model.s == 0.0:
         return 0.0
-    val = integrate_semiinf(_integrand_factory(model, np.cos, tau), spec)
+    val = integrate_semiinf(_integrand_factory(model, np.cos, tau),
+                            tau + model.s)
     return 2.0 * model.lambda_g * val
 
 
-def kernel_sin(tau: float, model: BathModel,
-               spec: QuadratureSpec | None = None) -> float:
+def kernel_sin(tau: float, model: BathModel) -> float:
     """Sine correlation kernel K_s(tau); odd in tau, K_s(0) = 0 exactly."""
     if tau < 0:
         raise ConfigError(f"tau must be >= 0, got {tau}")
     if tau == 0.0 or model.lambda_g == 0.0 or model.s == 0.0:
         return 0.0
-    val = integrate_semiinf(_integrand_factory(model, np.sin, tau), spec)
+    val = integrate_semiinf(_integrand_factory(model, np.sin, tau),
+                            tau + model.s)
     return 2.0 * model.lambda_g * val
 
 
@@ -150,6 +154,9 @@ def effective_hopping_ratio(model: BathModel) -> float:
     """
     return float(np.exp(-0.5 * model.kernel_zero()))
 
+
+# largest embedded-Gauss error estimate a kernel table entry may carry
+TABLE_TOL = 1e-10
 
 # block starts per GEMM, and the largest block; the working set is
 # (2 * _START_CHUNK + 4 * block) * nodes doubles
@@ -205,8 +212,7 @@ def _kernel_sums(model: BathModel, grid: TimeGrid):
     return k_cos, k_sin, np.abs(err_c), np.abs(err_s)
 
 
-def build_kernel_table(model: BathModel, grid: TimeGrid,
-                       spec: QuadratureSpec | None = None) -> KernelTable:
+def build_kernel_table(model: BathModel, grid: TimeGrid) -> KernelTable:
     """Tabulate K_c and K_s on grid with one composite Kronrod rule.
 
     The integrand's product cos(w tau) * sinc(w s) carries spectral content
@@ -216,25 +222,23 @@ def build_kernel_table(model: BathModel, grid: TimeGrid,
     and angle addition folds them into one GEMM per chunk of block starts
     (see _kernel_sums). The cost is ~16 n x nodes GEMM flops, the memory
     O((chunk + min(sqrt(n), 256)) x nodes). Per-tau embedded-Gauss error
-    estimates guard every entry of both kernels, and a failure names the
-    kernel and the offending tau. Pointwise kernel_cos / kernel_sin agree
-    with the table to well below 1e-10, which the tests assert on a sample
-    of grid points.
+    estimates guard every entry of both kernels: an estimate above
+    TABLE_TOL raises QuadratureError naming the kernel and the tau.
+    Pointwise kernel_cos / kernel_sin agree with the table to well below
+    1e-10, which the tests assert on a sample of grid points.
     """
-    spec = spec or QuadratureSpec()
     if model.lambda_g == 0.0 or model.s == 0.0:
         zeros = np.zeros(len(grid))
         return KernelTable(grid=grid, k_cos=zeros, k_sin=zeros.copy())
 
     k_cos, k_sin, err_c, err_s = _kernel_sums(model, grid)
-    tol = max(spec.abs_tol, spec.rel_tol)
     for name, err in (("K_c", err_c), ("K_s", err_s)):
         worst = int(np.argmax(err))
-        if err[worst] > tol:
+        if err[worst] > TABLE_TOL:
             raise QuadratureError(
                 f"kernel table {name} did not converge at "
                 f"tau={grid.points[worst]:.6g}: "
-                f"error estimate {err[worst]:.3e} > {tol:.3e}"
+                f"error estimate {err[worst]:.3e} > {TABLE_TOL:.3e}"
             )
     return KernelTable(grid=grid, k_cos=k_cos, k_sin=k_sin)
 

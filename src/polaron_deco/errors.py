@@ -18,7 +18,7 @@ class NumericalError(PolaronDecoError):
 
 
 class QuadratureError(NumericalError):
-    """Adaptive quadrature exhausted its subdivision budget before converging."""
+    """A kernel table's quadrature error estimate exceeds bath.TABLE_TOL."""
 
 
 class InvariantError(PolaronDecoError):

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.special import dawsn
 
 import polaron_deco as pd
-from polaron_deco import BathModel, ConfigError, QuadratureSpec, TimeGrid, bath
+from polaron_deco import BathModel, ConfigError, TimeGrid, bath
 from polaron_deco.bath import sinc
 
 
@@ -97,6 +97,15 @@ class TestKernels:
         assert ours == pytest.approx(kernel_quadrature(tau, s), abs=1e-11)
         assert ours == pytest.approx(kernel_cos_special(tau, s), abs=1e-11)
 
+    @pytest.mark.parametrize("tau", [0.0, 50.0, 2000.0])
+    @pytest.mark.parametrize("s", [0.01, 1.0, 100.0, 1000.0])
+    def test_reference_rule_matches_special_functions(self, s, tau):
+        # the fixed Gauss-Legendre rule sized to tau + s, from the oscillation
+        # up to the longest lag and the shortest scale
+        model = BathModel(lambda_g=1.0, s=s)
+        assert abs(pd.kernel_cos(tau, model) - kernel_cos_special(tau, s)) <= 1e-12
+        assert abs(pd.kernel_sin(tau, model) - kernel_sin_special(tau, s)) <= 1e-12
+
     def test_sin_golden_value(self):
         model = BathModel(lambda_g=1.0, s=1.0)
         ours = pd.kernel_sin(1.0, model)
@@ -130,6 +139,14 @@ class TestEffectiveHopping:
         assert pd.effective_hopping_ratio(BathModel(lambda_g=1.0, s=0.0)) == 1.0
         assert pd.effective_hopping_ratio(BathModel(lambda_g=1.0, s=1e-12)) \
             == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("s, ratio", [(1.0, 0.9272207421212346),
+                                          (10.0, 0.6127571471676962),
+                                          (100.0, 0.6065913279504719)])
+    def test_pinned_bits(self, s, ratio):
+        # j_tilde enters every rate; these are the exact doubles the CLI's
+        # default s values and the bench's seed-0 trajectories rest on
+        assert pd.effective_hopping_ratio(BathModel(lambda_g=1.0, s=s)) == ratio
 
     def test_value_at_s10(self):
         got = pd.effective_hopping_ratio(BathModel(lambda_g=1.0, s=10.0))
@@ -233,12 +250,12 @@ class TestKernelTable:
         assert table.k_sin[0] == 0.0
         assert table.k_cos[0] == pytest.approx(0.5, rel=1e-14)
 
-    def test_tight_spec_failure_names_tau(self):
+    def test_tight_spec_failure_names_tau(self, monkeypatch):
         # an unsatisfiable tolerance must fail loudly and name the worst tau
         grid = TimeGrid(t_max=50.0, dt=10.0)
-        spec = QuadratureSpec(rel_tol=1e-300, abs_tol=0.0, max_subdivisions=8000)
+        monkeypatch.setattr(bath, "TABLE_TOL", 1e-300)
         with pytest.raises(pd.QuadratureError, match="tau"):
-            pd.build_kernel_table(BathModel(lambda_g=1.0, s=1.0), grid, spec)
+            pd.build_kernel_table(BathModel(lambda_g=1.0, s=1.0), grid)
 
     def test_sine_estimate_alone_fails(self, monkeypatch):
         # the sine kernel's error estimate is checked on its own: with the
@@ -250,14 +267,14 @@ class TestKernelTable:
         monkeypatch.setattr(bath, "_kernel_sums", lambda m, g: (
             k_cos, k_sin, np.zeros_like(err_c), err_s))
         worst = int(np.argmax(err_s))
-        spec = QuadratureSpec(rel_tol=0.5 * err_s[worst], abs_tol=0.0)
+        monkeypatch.setattr(bath, "TABLE_TOL", 0.5 * err_s[worst])
         tau = f"tau={grid.points[worst]:.6g}:"
         with pytest.raises(pd.QuadratureError, match=f"K_s .*{tau}"):
-            pd.build_kernel_table(model, grid, spec)
+            pd.build_kernel_table(model, grid)
         # the same tolerance passes when the sine estimate is within it
         monkeypatch.setattr(bath, "_kernel_sums", lambda m, g: (
             k_cos, k_sin, np.zeros_like(err_c), 0.25 * err_s))
-        pd.build_kernel_table(model, grid, spec)
+        pd.build_kernel_table(model, grid)
 
     def test_memory_is_bounded(self):
         # the direct (n x nodes) phase block peaks at ~378 MB here; the

@@ -1,7 +1,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,3 +407,30 @@ class TestSelftest:
         record = json.loads(captured.err.strip())
         assert record == {"error": "InvariantError",
                           "message": "selftest failed: dawson-vs-quadrature"}
+
+
+# numpy is the only runtime dependency, while the test extra brings scipy
+# into every environment the suite runs in; this child cannot import it
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+try:
+    import scipy.special
+except ImportError:
+    pass
+else:
+    sys.exit("scipy is still importable")
+from polaron_deco.cli import main
+sys.exit(main(["selftest"]) or main(["effective-hopping", "--out", sys.argv[1]]))
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    paths = [str(Path(__file__).resolve().parents[1] / "src"),
+             os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.count("PASS") >= 6 and "FAIL" not in proc.stdout
+    assert (tmp_path / "fig1a.csv").exists() and (tmp_path / "fig1b.csv").exists()

@@ -5,15 +5,13 @@ from scipy.special import dawsn
 
 from polaron_deco import (
     ConfigError,
-    QuadratureError,
-    QuadratureSpec,
     TimeGrid,
     cumulative_trapezoid,
     dawson,
     dawson_sine,
     integrate_semiinf,
+    numerics,
 )
-from polaron_deco.numerics import _dawson_asymptotic, _dawson_comb, _dawson_series
 from rk4_reference import ode_step_rk4
 
 
@@ -50,62 +48,84 @@ class TestDawson:
     def test_odd(self):
         for z in (0.3, 1.7, 12.0):
             assert dawson_sine(-z) == -dawson_sine(z)
+        x = np.linspace(0.0, 200.0, 4001)
+        assert np.array_equal(dawson(-x), -dawson(x))
+
+    def test_shape_and_scalar_type(self):
+        x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        out = dawson(x)
+        assert isinstance(out, np.ndarray) and out.shape == (3, 4)
+        # each entry as computed alone, on both sides of the |x| = 0.5 switch
+        assert np.array_equal(out.ravel(), [dawson(v) for v in x.ravel()])
+        for v in (0.2, 2.0, np.float64(0.2)):
+            assert type(dawson(v)) is float
+            assert type(dawson_sine(v)) is float
+        assert dawson(np.zeros(0)).shape == (0,)
 
     def test_asymptotic_tail(self):
         z = 100.0
         assert abs(z * dawson_sine(z) - 1.0) < 0.01
 
-    def test_branch_overlap_series_comb(self):
-        for x in np.linspace(0.6, 1.0, 9):
-            assert _dawson_series(x) == pytest.approx(_dawson_comb(x), rel=1e-12)
-
-    def test_branch_overlap_comb_asymptotic(self):
-        for x in np.linspace(5.5, 6.5, 11):
-            assert _dawson_comb(x) == pytest.approx(_dawson_asymptotic(x), rel=1e-12)
+    def test_continuous_at_switch(self, monkeypatch):
+        # the Maclaurin form ends at |x| = 0.5, the comb starts just above
+        edge = numerics._SERIES_EDGE
+        below, above = dawson(np.array([edge, np.nextafter(edge, 1.0)]))
+        assert abs(above - below) <= 1e-15 * below
+        # and the two forms agree on the series side of the switch
+        x = np.linspace(0.3, edge, 41)
+        series = dawson(x)
+        monkeypatch.setattr(numerics, "_SERIES_EDGE", 0.0)
+        comb = dawson(x)
+        assert np.max(np.abs(comb - series) / series) <= 1e-14
 
     def test_scipy_reference_broad(self):
-        xs = np.linspace(0.0, 30.0, 601)
-        ours = np.array([dawson(x) for x in xs])
+        xs = np.linspace(-200.0, 200.0, 400001)
+        ours = dawson(xs)
         ref = dawsn(xs)
-        assert np.max(np.abs(ours - ref)) < 1e-13
+        nonzero = ref != 0.0
+        assert np.all(ours[~nonzero] == 0.0)
+        rel = np.abs(ours[nonzero] - ref[nonzero]) / np.abs(ref[nonzero])
+        assert np.max(rel) <= 6e-15
+
+    def test_large_arguments(self):
+        # far beyond 2^53 h the comb's node index n0 + m is no longer exact;
+        # the distances x - n h must still be
+        xs = np.geomspace(200.0, 1e300, 2001)
+        rel = np.abs(dawson(xs) - dawsn(xs)) / dawsn(xs)
+        assert np.max(rel) <= 6e-15
+        assert dawson(-1e300) == -dawson(1e300)
 
 
 class TestIntegrateSemiinf:
     def test_gaussian_moment(self):
         # int_0^inf w e^{-w^2} dw = 1/2
-        val = integrate_semiinf(lambda w: w * np.exp(-w * w))
+        val = integrate_semiinf(lambda w: w * np.exp(-w * w), 0.0)
         assert val == pytest.approx(0.5, abs=1e-12)
 
     def test_forward_scattering_factor(self):
         # with the s=2 factor the closed form is 1/2 - F[2]/2
         s = 2.0
         val = integrate_semiinf(
-            lambda w: w * np.exp(-w * w) * (1 - np.sinc(w * s / np.pi)))
+            lambda w: w * np.exp(-w * w) * (1 - np.sinc(w * s / np.pi)), s)
         expected = 0.5 - float(dawsn(1.0)) / 2.0
         assert val == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.2309602465436158, abs=1e-14)
 
     def test_zero_integrand(self):
-        assert integrate_semiinf(lambda w: np.zeros_like(w)) == 0.0
+        assert integrate_semiinf(lambda w: np.zeros_like(w), 0.0) == 0.0
 
     def test_default_tolerance_is_tight(self):
-        val = integrate_semiinf(lambda w: w * np.exp(-w * w) * np.cos(40.0 * w))
+        val = integrate_semiinf(lambda w: w * np.exp(-w * w) * np.cos(40.0 * w), 40.0)
         ref, _ = quad(lambda w: w * np.exp(-w * w) * np.cos(40.0 * w), 0, 8,
                       limit=2000, epsabs=1e-13, epsrel=1e-12)
         assert val == pytest.approx(ref, abs=1e-12)
 
-    def test_nonconvergence_reported(self):
-        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=3)
-        with pytest.raises(QuadratureError):
-            integrate_semiinf(lambda w: w * np.exp(-w * w) * np.cos(60.0 * w), spec)
-
-    def test_spec_validation(self):
-        with pytest.raises(ConfigError):
-            QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(ConfigError):
-            QuadratureSpec(abs_tol=-1.0)
-        with pytest.raises(ConfigError):
-            QuadratureSpec(max_subdivisions=0)
+    @pytest.mark.parametrize("z", [0.3, 2.0, 7.0, 21.0, 150.0, 400.0])
+    def test_sine_transform_at_its_oscillation(self, z):
+        # the selftest's check: the rule sized to the integrand's frequency z
+        # against scipy's Dawson at z / 2
+        val = integrate_semiinf(lambda t: np.exp(-t * t) * np.sin(z * t), z)
+        assert val == pytest.approx(float(dawsn(z / 2)), abs=3e-14)
 
 
 class TestTimeGrid:
