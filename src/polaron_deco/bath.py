@@ -40,6 +40,7 @@ from .numerics import (
 __all__ = [
     "BathModel",
     "KernelTable",
+    "kernel_zero",
     "kernel_cos",
     "kernel_sin",
     "effective_hopping_ratio",
@@ -84,9 +85,18 @@ class BathModel:
         This is the special-function route; kernel_cos(0) reaches the same
         number by quadrature.
         """
-        if self.lambda_g == 0.0 or self.s == 0.0:
-            return 0.0
-        return 2.0 * self.lambda_g * (0.5 - dawson_sine(self.s) / self.s)
+        return kernel_zero(self.lambda_g, self.s)
+
+
+def kernel_zero(lambda_g, s):
+    """BathModel.kernel_zero elementwise over broadcast arrays of valid
+    lambda_g and s: exactly 0 where either is 0. Scalars give a float."""
+    lam = np.asarray(lambda_g, dtype=float)
+    s = np.asarray(s, dtype=float)
+    safe_s = np.where(s == 0.0, 1.0, s)  # no 0/0 where the result is 0 anyway
+    k = np.where((lam == 0.0) | (s == 0.0), 0.0,
+                 2.0 * lam * (0.5 - dawson_sine(safe_s) / safe_s))
+    return k if k.ndim else float(k)
 
 
 @dataclass(frozen=True)

@@ -265,14 +265,14 @@ def _run_sweep(config, key, values, label):
 
 
 def _run_effective_hopping(config):
+    # bath.effective_hopping_ratio, exp(-K_c(0)/2), along a whole axis at once
     lam_grid = np.linspace(0.0, 2.0, 81)
     path_a = os.path.join(config.out_dir, "fig1a.csv")
     cols_a = [lam_grid]
     header_a = ["lambda_g"]
     for s in config.s_values:
         header_a.append(f"ratio_s={format_number(s)}")
-        cols_a.append([bath.effective_hopping_ratio(bath.BathModel(lambda_g=v, s=s))
-                       for v in lam_grid])
+        cols_a.append(np.exp(-0.5 * bath.kernel_zero(lam_grid, s)))
     write_csv(path_a, header_a, cols_a)
 
     s_grid = np.logspace(-1.0, 2.0, 61)
@@ -281,8 +281,7 @@ def _run_effective_hopping(config):
     header_b = ["s"]
     for lam in config.lambda_values:
         header_b.append(f"ratio_lambda={format_number(lam)}")
-        cols_b.append([bath.effective_hopping_ratio(bath.BathModel(lambda_g=lam, s=v))
-                       for v in s_grid])
+        cols_b.append(np.exp(-0.5 * bath.kernel_zero(lam, s_grid)))
     write_csv(path_b, header_b, cols_b)
     written = [path_a, path_b]
     if config.svg:
@@ -392,14 +391,14 @@ def selftest(out=None) -> bool:
         for z in (0.3, 2.0, 7.0, 21.0, 150.0):
             ref = numerics.integrate_semiinf(
                 lambda t, z=z: np.exp(-t * t) * np.sin(z * t), z)
-            if abs(numerics.dawson_sine(z) - ref) > 1e-9 * max(1.0, abs(ref)):
+            if abs(numerics.dawson_sine(z) - ref) > 1e-12 * max(1.0, abs(ref)):
                 raise NumericalError(f"dawson mismatch at z={z}")
 
     def _kernel_closed_form():
         for lam in (0.1, 1.0, 5.0):
             for s in (0.1, 1.0, 10.0, 100.0):
                 model = bath.BathModel(lambda_g=lam, s=s)
-                if abs(bath.kernel_cos(0.0, model) - model.kernel_zero()) > 1e-8:
+                if abs(bath.kernel_cos(0.0, model) - model.kernel_zero()) > 1e-12:
                     raise NumericalError(f"kernel zero mismatch at lam={lam} s={s}")
 
     def _no_decoherence_limit():
@@ -428,6 +427,22 @@ def selftest(out=None) -> bool:
         if rep.spectrum_max_dev > 1e-8 or rep.hop_error > 1e-3:
             raise NumericalError("displacement-transform check failed")
 
+    def _exact_propagation():
+        # the oracle's Chebyshev series against the eigendecomposition, in
+        # the real frame and in the lab frame (|g_1k| != |g_2k|), dim 72
+        lab = oracle.TruncatedBathConfig(
+            mode_freqs=(0.9, 2.3), g_site1=(0.3 + 0.1j, 0.05), g_site2=(0.2, 0.1 - 0.2j),
+            n_max=5, j_hop=0.7, epsilon_onsite=0.1)
+        t = numerics.TimeGrid(t_max=20.0, dt=0.05).points
+        for cfg in (oracle.ohmic_mode_config(n_modes=2, n_max=5), lab):
+            ham = oracle._frame(cfg).ham
+            psi = oracle._vacuum_state([0.6, 0.8j], cfg.bath_dim)
+            series = np.concatenate(
+                [states for _, states in oracle.ChebyshevPropagator(ham).series(psi, t)])
+            err = float(np.max(np.abs(series - oracle.Propagator(ham).evolve(psi, t))))
+            if err > 1e-12:
+                raise NumericalError(f"Chebyshev vs eigh propagation differ by {err:.2e}")
+
     def _determinism():
         with tempfile.TemporaryDirectory() as tmp:
             cfgs = [replace(parse_config(mode="effective-hopping"),
@@ -446,6 +461,7 @@ def selftest(out=None) -> bool:
     check("no-decoherence-limit", _no_decoherence_limit)
     check("ode-vs-closed-form", _ode_vs_closed_form)
     check("lang-firsov", _lang_firsov)
+    check("exact-propagation", _exact_propagation)
     check("determinism", _determinism)
 
     for name, passed, detail in checks:

@@ -1,5 +1,5 @@
 """Exact reference simulator: two sites coupled to a handful of truncated
-bosonic modes, diagonalized densely.
+bosonic modes, solved without approximation on the truncated space.
 
 Serves three jobs that the master-equation pipeline cannot certify for
 itself: numerical verification of the displacement (polaron) transformation,
@@ -8,19 +8,24 @@ pulse-train (bang-bang) protection protocol with measured error scaling.
 
 Everything is restricted to the single-particle sector (plus an optional
 two-particle block for the induced interaction check), so the Hilbert space
-is 2 * (n_max + 1)^n_modes and dense eigendecomposition is cheap.
+is 2 * (n_max + 1)^n_modes and dense operators are cheap.
 
 Operators are filled from one occupation table of the bath basis (mode 0
 slowest, the Kronecker order): H_bath is a diagonal, and each coupling or
 displacement writes a * sqrt(n_k) at one lowered index pair per mode and
 basis state, with its adjoint at the mirror position.
 
-Every exp(-i H t) below comes from one Propagator (the eigendecomposition
-of H, built once per Hamiltonian) applied to state vectors. A time series is
+exp(-i H t) has two independent routes. A time series from one state
+(exact_decoherence_reference) is a ChebyshevPropagator: Chebyshev series in
+H, applied through its nonzero diagonals, with no eigenbasis; the grid is
 propagated and reduced to 2x2 states in slices of at most CHUNK time points,
-so only a CHUNK x dim block of amplitudes is ever held. Pi pulses act on
-eigen-coefficients through V^dag Pi V, built once per run, and every pulse
-schedule of a run advances in lockstep through one product per half cycle.
+and the series terms are held in blocks of at most CHUNK, so only
+O(CHUNK x dim) amplitudes are ever held. Pulse trains and the displacement
+unitary use a Propagator, the eigendecomposition of H built once per
+Hamiltonian and applied to state vectors: Pi pulses act on eigen-coefficients
+through V^dag Pi V, built once per run, and every pulse schedule of a run
+advances in lockstep through one product per half cycle. Each route is the
+other's check in the tests and the selftest.
 
 Frames: when |g_1k| = |g_2k| for every mode (every ohmic_mode_config), the
 antiunitary (site swap) x (complex conjugation) commutes with H after the
@@ -28,7 +33,7 @@ bath gauge b_k -> e^{i theta_k} b_k, theta_k = -(arg g_1k + arg g_2k)/2,
 which makes g_2k = conj(g_1k) (Dyson, J. Math. Phys. 3, 1199 (1962)). In
 the basis u_n = (|1,n> + |2,n>)/sqrt2, v_n = i(|1,n> - |2,n>)/sqrt2, H is
 then the real symmetric [[Re A + J, -Im A], [Im A, Re A - J]] (A the gauged
-site-1 block), eigh and propagation run in real arithmetic, and the pi pulse
+site-1 block), eigh and its products run in real arithmetic, and the pi pulse
 is diag(I, -I). The gauge acts on the bath alone, so it leaves the vacuum
 and every reduced state unchanged; only a 2x2 map on the site index is
 applied, at the two ends. Other configurations propagate the same way in
@@ -60,6 +65,7 @@ __all__ = [
     "lang_firsov_generator",
     "lang_firsov_check",
     "Propagator",
+    "ChebyshevPropagator",
     "run_bangbang",
     "exact_decoherence_reference",
     "compare_with_master_equation",
@@ -74,8 +80,14 @@ TAIL_THRESHOLD = 1e-6
 # upper edge of the frequency band ohmic_mode_config discretizes, in units of W
 OMEGA_MAX = 4.0
 # time points per slice that exact_decoherence_reference propagates and
-# reduces at once, so its memory is O(CHUNK * dim) whatever the grid length
+# reduces at once, and Chebyshev terms per block, so its memory is
+# O(CHUNK * dim) whatever the grid length
 CHUNK = 128
+# largest radius * (slice span) of a slice with more than one time point;
+# its Chebyshev series then has at most CHUNK terms (117 at the cap)
+SPAN_CAP = CHUNK / 2
+# a Chebyshev series stops at the first term whose bound on |J_k| is below this
+SERIES_TOL = 1e-16
 
 # rows are <T|, <S| expressed in the site basis {|10>, |01>}
 _ST_FROM_SITE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
@@ -271,6 +283,16 @@ def _matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out.reshape(a.shape[:-1] + m.shape[-1:])
 
 
+def _require_hermitian(dev: float) -> None:
+    """ConfigError unless max |H - H^dag| = dev is at most 1e-12; a
+    non-finite H gives a NaN dev, which fails too."""
+    if not (dev <= 1e-12):
+        raise ConfigError(
+            f"exact propagation requires a finite Hermitian matrix "
+            f"(max |H - H^dag| = {dev:.3e})"
+        )
+
+
 class Propagator:
     """exp(-i H t) for one Hermitian H, held as its eigendecomposition H = V E V^dag.
 
@@ -280,13 +302,8 @@ class Propagator:
 
     def __init__(self, ham: np.ndarray):
         ham = np.asarray(ham)
-        with np.errstate(invalid="ignore"):  # inf - inf: reported below
-            dev = float(np.max(np.abs(ham - ham.conj().T)))
-        if not (dev <= 1e-12):
-            raise ConfigError(
-                f"exact propagation requires a finite Hermitian matrix "
-                f"(max |H - H^dag| = {dev:.3e})"
-            )
+        with np.errstate(invalid="ignore"):  # inf - inf
+            _require_hermitian(float(np.max(np.abs(ham - ham.conj().T))))
         self.energies, self.vectors = np.linalg.eigh(ham)
 
     def coefficients(self, psi: np.ndarray) -> np.ndarray:
@@ -311,6 +328,128 @@ class Propagator:
         t = np.asarray(t, dtype=float)
         phases = self.phases(t).reshape(t.shape + (1,) * (psi.ndim - 1) + (-1,))
         return self.states(phases * self.coefficients(psi))
+
+
+def _series_length(x: float) -> int:
+    """Terms k = 0, 1, ... a Chebyshev series at x = r tau keeps: all before
+    the first whose bound (x/2)^k / k! on |J_k(x)| is below SERIES_TOL."""
+    if x == 0.0:
+        return 1
+    log_bound, k = 0.0, 0
+    while log_bound >= math.log(SERIES_TOL):
+        k += 1
+        log_bound += math.log(0.5 * x / k)  # in logs: the bound overflows near k = x/2
+    return k
+
+
+def _bessel_coefficients(x: np.ndarray, n_terms: int) -> np.ndarray:
+    """(2 - delta_k0) (-i)^k J_k(x) for k < n_terms, one row per x.
+
+    These are the cosine coefficients of exp(-i x cos theta) (Jacobi-Anger),
+    read off an FFT of n >= 2 n_terms samples: the orders that alias onto
+    k < n_terms are beyond n_terms, where |J_k(x)| is below the bound.
+    """
+    n = 1 << (2 * n_terms - 1).bit_length()
+    theta = 2.0 * math.pi * np.arange(n) / n
+    coef = np.fft.fft(np.exp(-1j * np.multiply.outer(x, np.cos(theta))))[:, :n_terms] / n
+    coef[:, 1:] *= 2.0
+    return coef
+
+
+class ChebyshevPropagator:
+    """exp(-i H t) psi over a time series for one Hermitian H, with no
+    eigenbasis (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
+
+    Gershgorin puts the spectrum in [center - radius, center + radius], and
+    exp(-i H tau) = exp(-i center tau) sum_k (2 - delta_k0) (-i)^k
+    J_k(radius tau) T_k((H - center) / radius). The Chebyshev vectors
+    T_k psi come from the three-term recurrence, and H enters only through
+    products with its nonzero diagonals.
+    """
+
+    def __init__(self, ham: np.ndarray):
+        ham = np.asarray(ham)
+        self.dim = n = len(ham)
+        nonzero = np.flatnonzero(ham)
+        diagonals = {int(o): np.diagonal(ham, o)
+                     for o in np.union1d(nonzero % n - nonzero // n, [0])}
+        with np.errstate(invalid="ignore"):  # inf - inf
+            _require_hermitian(float(np.max(
+                [np.max(np.abs(d - np.conj(diagonals.get(-o, 0.0))))
+                 for o, d in diagonals.items()])))
+        # off-diagonal absolute row sums, each diagonal added to the rows it touches
+        radii = np.zeros(n)
+        for o, d in diagonals.items():
+            if o:
+                radii[max(0, -o):n - max(0, o)] += np.abs(d)
+        main = diagonals[0].real
+        low, high = float(np.min(main - radii)), float(np.max(main + radii))
+        self.center, self.radius = 0.5 * (high + low), 0.5 * (high - low)
+        # the diagonals of 2 (H - center) / radius, the recurrence's step; with
+        # radius 0 every series has one term and the step is never taken
+        scale = 2.0 / self.radius if self.radius > 0.0 else 0.0
+        self._bands = [(o, scale * (d - self.center) if o == 0 else scale * d)
+                       for o, d in diagonals.items()]
+
+    def _step(self, x: np.ndarray, out: np.ndarray) -> None:
+        """out += 2 (H - center) x / radius for states along the last axis."""
+        n = self.dim
+        for o, d in self._bands:
+            if o >= 0:
+                out[..., :n - o] += d * x[..., o:]
+            else:
+                out[..., -o:] += d * x[..., :n + o]
+
+    def _chebyshev_blocks(self, psi: np.ndarray, n_terms: int):
+        """Yield (k0, block): block[i] = T_{k0 + i}((H - center) / radius) psi,
+        blocks of at most CHUNK terms, so the series is never held whole."""
+        block = np.empty((min(CHUNK, n_terms),) + psi.shape, dtype=complex)
+        prev = cur = None
+        for k in range(n_terms):
+            row = block[k % CHUNK]  # prev and cur are the two rows before it
+            if k == 0:
+                row[...] = psi
+            elif k == 1:
+                row[...] = 0.0
+                self._step(psi, row)
+                row *= 0.5
+            else:
+                np.negative(prev, out=row)
+                self._step(cur, row)
+            prev, cur = cur, row
+            if k % CHUNK == len(block) - 1 or k == n_terms - 1:
+                yield k - k % CHUNK, block[:k % CHUNK + 1]
+
+    def _evolve(self, psi: np.ndarray, tau) -> np.ndarray:
+        """exp(-i H tau) psi for every tau, shape np.shape(tau) + psi.shape:
+        one Chebyshev series, summed by one product per block of terms."""
+        psi = np.asarray(psi, dtype=complex)
+        tau = np.asarray(tau, dtype=float)
+        x = self.radius * tau
+        n_terms = _series_length(float(np.max(x)))
+        coef = _bessel_coefficients(x, n_terms) * np.exp(-1j * self.center * tau)[:, None]
+        out = np.zeros((len(tau), psi.size), dtype=complex)
+        for k0, block in self._chebyshev_blocks(psi, n_terms):
+            out += coef[:, k0:k0 + len(block)] @ block.reshape(len(block), -1)
+        return out.reshape(tau.shape + psi.shape)
+
+    def series(self, psi: np.ndarray, t):
+        """Yield (ts, exp(-i H (ts - t[0])) psi) over consecutive equal slices
+        ts of the increasing times t, each of at most CHUNK points.
+
+        Each slice is one series from the previous slice's last state. A
+        slice spans at most SPAN_CAP / radius, so that its series has at
+        most CHUNK terms; only a single step longer than that takes more,
+        still generated in blocks of CHUNK.
+        """
+        t = np.asarray(t, dtype=float)
+        width = self.radius * float(np.max(np.diff(t), initial=0.0))
+        per_slice = CHUNK if width * CHUNK <= SPAN_CAP else max(1, int(SPAN_CAP / width))
+        anchor_t, anchor = t[0], np.asarray(psi, dtype=complex)
+        for ts in np.array_split(t, -(-len(t) // per_slice)):
+            states = self._evolve(anchor, ts - anchor_t)
+            yield ts, states
+            anchor_t, anchor = ts[-1], states[-1]
 
 
 def unitary_from_generator(s_matrix: np.ndarray) -> np.ndarray:
@@ -656,25 +795,19 @@ def exact_decoherence_reference(config: TruncatedBathConfig, rho0: DensityMatrix
     """Pulse-free reduced trajectory from the exact model, on grid.
 
     The bath starts in its vacuum; mixed initial qubit states are evolved
-    branch by branch and recombined (exact for linear evolution). Each
-    branch is propagated and reduced in slices of at most CHUNK time points
-    (equal lengths, so no slice is a short remainder). States are
-    reported with the ideal rotation undone, which leaves the coherence
-    magnitude and populations untouched.
+    branch by branch (all branches in one series) and recombined (exact for
+    linear evolution). The grid is propagated by ChebyshevPropagator.series
+    and reduced slice by slice. States are reported with the ideal rotation
+    undone, which leaves the coherence magnitude and populations untouched.
     """
     frame = _frame(config)
-    prop = Propagator(frame.ham)
     t = grid.points
-    rho_t = np.zeros((len(t), 2, 2), dtype=complex)
-    # slices of equal length rather than a short last one: BLAS can take
-    # another kernel for a product of a few rows and change the last bits
-    slices = np.array_split(t, -(-len(t) // CHUNK))
-    for p, vec in _initial_site_branches(rho0):
-        # prop.evolve per slice, with V^dag psi0 (one pass over V) taken once
-        c0 = prop.coefficients(_vacuum_state(frame.from_site @ vec, config.bath_dim))
-        rho_t += p * np.concatenate([
-            _reduced_st_series(prop.states(prop.phases(ts) * c0), frame.to_st)
-            for ts in slices])
+    branches = _initial_site_branches(rho0)
+    psi0 = _vacuum_state([frame.from_site @ vec for _, vec in branches], config.bath_dim)
+    rho_t = np.concatenate([
+        sum(p * _reduced_st_series(states[:, b], frame.to_st)
+            for b, (p, _) in enumerate(branches))
+        for _, states in ChebyshevPropagator(frame.ham).series(psi0, t)])
     d = _ideal_rotation(config, t)
     rho_t = d[:, :, None] * rho_t * d.conj()[:, None, :]
     # t = 0 is the input itself, so a zero rho_ST(0) stays exactly zero and the

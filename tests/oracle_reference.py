@@ -1,10 +1,11 @@
-"""Reference oracle loops in their plain, one-at-a-time form.
+"""Reference oracle routes in their plain, one-at-a-time form.
 
-oracle.run_bangbang advances every pulse schedule in lockstep, and
-oracle.exact_decoherence_reference reduces its time series in slices of
-oracle.CHUNK points. The functions here do the same work the direct way:
-one schedule after another, and the whole time grid as one amplitude block.
-The tests hold the production routes to them.
+oracle.run_bangbang advances every pulse schedule in lockstep;
+serial_bangbang runs one schedule after another.
+oracle.exact_decoherence_reference sums a Chebyshev series per slice of
+oracle.CHUNK points; one_block_rho is the other exact route, the
+eigendecomposition (oracle.Propagator) applied to the whole time grid as one
+amplitude block. The tests hold the production routes to them.
 """
 
 import numpy as np
@@ -57,7 +58,8 @@ def serial_bangbang(config, rho0, schedules):
 
 def one_block_rho(config, rho0, grid):
     """The [T, S] matrices exact_decoherence_reference reports, with every
-    branch propagated over the whole grid as one T x dim block."""
+    branch propagated by the eigendecomposition of H over the whole grid as
+    one T x dim block."""
     frame = _frame(config)
     prop = Propagator(frame.ham)
     t = grid.points

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,26 @@ class TestEffectiveHopping:
         assert pd.effective_hopping_ratio(BathModel(lambda_g=1.0, s=0.0)) == 1.0
         assert pd.effective_hopping_ratio(BathModel(lambda_g=1.0, s=1e-12)) \
             == pytest.approx(1.0, abs=1e-12)
+
+    def test_kernel_zero_along_an_axis(self):
+        # one call per axis (the effective-hopping verb) gives the bits of
+        # the scalar formula, with s = 0 and lambda_g = 0 exactly 0 and no
+        # 0/0 warning
+        lam = np.linspace(0.0, 2.0, 81)
+        s = np.concatenate([[0.0, 1e-12], np.logspace(-1.0, 2.0, 61)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = bath.kernel_zero(lam[:, None], s)
+            by_lam = [bath.kernel_zero(lam, v) for v in s]
+            by_s = [bath.kernel_zero(v, s) for v in lam]
+        scalar = np.array([[2.0 * float(l) * (0.5 - pd.dawson_sine(float(v)) / float(v))
+                            if l and v else 0.0 for v in s] for l in lam])
+        assert np.array_equal(table, scalar)
+        assert np.array_equal(np.transpose(by_lam), scalar)
+        assert np.array_equal(by_s, scalar)
+        assert np.all(np.exp(-0.5 * table[0]) == 1.0)
+        assert np.all(np.exp(-0.5 * table[:, 0]) == 1.0)
+        assert isinstance(bath.kernel_zero(1.0, 10.0), float)
 
     @pytest.mark.parametrize("s, ratio", [(1.0, 0.9272207421212346),
                                           (10.0, 0.6127571471676962),

@@ -396,8 +396,28 @@ class TestSelftest:
     def test_selftest_passes(self, capsys):
         assert cli.selftest()
         out = capsys.readouterr().out
-        assert out.count("PASS") >= 6
+        assert out.count("PASS") >= 7
+        assert "SELFTEST exact-propagation: PASS" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("name", ["dawson-vs-quadrature", "kernel-closed-form",
+                                      "exact-propagation"])
+    def test_selftest_catches_small_defects(self, monkeypatch, capsys, name):
+        # each defect is far below the old 1e-9 / 1e-8 tolerances
+        if name == "dawson-vs-quadrature":
+            dawson_sine = cli.numerics.dawson_sine
+            monkeypatch.setattr(cli.numerics, "dawson_sine",
+                                lambda z: dawson_sine(z) * (1.0 + 1e-10))
+        elif name == "kernel-closed-form":
+            kernel_cos = cli.bath.kernel_cos
+            monkeypatch.setattr(cli.bath, "kernel_cos",
+                                lambda tau, model: kernel_cos(tau, model) + 1e-10)
+        else:
+            monkeypatch.setattr(cli.oracle, "SERIES_TOL", 1e-9)
+        assert not cli.selftest()
+        out = capsys.readouterr().out
+        assert f"SELFTEST {name}: FAIL" in out
+        assert out.count("FAIL") == 1
 
     def test_selftest_failure_writes_error_record(self, monkeypatch, capsys):
         monkeypatch.setattr(cli.numerics, "dawson_sine", lambda z: 0.0)
@@ -432,5 +452,5 @@ def test_runs_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert proc.stdout.count("PASS") >= 6 and "FAIL" not in proc.stdout
+    assert proc.stdout.count("PASS") >= 7 and "FAIL" not in proc.stdout
     assert (tmp_path / "fig1a.csv").exists() and (tmp_path / "fig1b.csv").exists()

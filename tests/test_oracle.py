@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -275,6 +277,89 @@ class TestExactEvolution:
             Propagator(ham)
 
 
+class TestChebyshev:
+    def test_zero_spectral_width_is_a_constant_phase(self):
+        # one mode, n_max = 0 and J = 0: H = eps * I, a series of one term
+        for g_site2 in ((0.1,), (0.3,)):  # lab frame, real frame
+            cfg = TruncatedBathConfig(mode_freqs=(1.0,), g_site1=(0.3,), g_site2=g_site2,
+                                      n_max=0, j_hop=0.0, epsilon_onsite=0.7)
+            cheb = oracle.ChebyshevPropagator(_frame(cfg).ham)
+            assert (cheb.center, cheb.radius) == (0.7, 0.0)
+            psi = _vacuum_state([0.6, 0.8j], cfg.bath_dim)
+            t = TimeGrid(2.0, 0.5).points
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                states = np.concatenate([s for _, s in cheb.series(psi, t)])
+                traj = pd.exact_decoherence_reference(
+                    cfg, fig2_state(), TimeGrid(2.0, 0.5)).trajectory
+            expected = np.exp(-0.7j * t)[:, None] * psi
+            assert np.max(np.abs(states - expected)) <= 1e-15
+            assert np.max(np.abs(traj.coherence - 1.0)) <= 1e-15
+            assert np.max(np.abs(traj.rho_ss - 2.0 / 3.0)) <= 1e-15
+
+    @pytest.mark.parametrize("ham", [
+        np.array([[0.0, 1.0], [0.0, 0.0]]),  # no mirror diagonal
+        np.array([[0.0, 1.0], [2.0, 0.0]]),
+        np.array([[1.0j, 0.0], [0.0, 1.0]]),  # complex main diagonal
+        np.arange(16.0).reshape(4, 4) + 1j,
+    ])
+    def test_rejects_non_hermitian(self, ham):
+        with pytest.raises(ConfigError, match="Hermitian"):
+            oracle.ChebyshevPropagator(ham)
+
+    @pytest.mark.parametrize("index", [(1, 1), (0, 2)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, value, index):
+        ham = pd.build_hamiltonian(single_mode(n_max=2))
+        ham[index] = value
+        with pytest.raises(ConfigError, match="finite Hermitian"):
+            oracle.ChebyshevPropagator(ham)
+
+    @pytest.mark.parametrize("x", [0.0, 1e-3, 0.3, 5.0, 31.7, oracle.SPAN_CAP, 1064.7])
+    def test_coefficients_match_bessel(self, x):
+        jv = pytest.importorskip("scipy.special").jv
+        n_terms = oracle._series_length(x)
+        coef = oracle._bessel_coefficients(np.array([x]), n_terms)[0]
+        k = np.arange(n_terms)
+        expected = np.where(k == 0, 1.0, 2.0) * (-1j) ** k * jv(k, x)
+        assert np.max(np.abs(coef - expected)) <= 1e-15 * max(1.0, x)
+        # the first order left out is below the tolerance
+        assert abs(jv(n_terms, x)) < oracle.SERIES_TOL
+
+    def test_series_length(self):
+        assert oracle._series_length(0.0) == 1
+        assert oracle._series_length(1e-20) == 1
+        # a slice at the span cap fits one block of terms
+        assert oracle._series_length(oracle.SPAN_CAP) <= CHUNK
+        # the bound overflows a float near k = x / 2 without logs
+        assert oracle._series_length(2000.0) > 2000
+
+    def test_slices_keep_each_series_within_one_block(self, monkeypatch):
+        cheb = oracle.ChebyshevPropagator(_frame(LOCKSTEP_CONFIGS["real-s-2"]()).ham)
+        t = TimeGrid(100.0, 0.5).points
+        assert cheb.radius * CHUNK * 0.5 > oracle.SPAN_CAP
+        lengths = []
+        series_length = oracle._series_length
+        monkeypatch.setattr(oracle, "_series_length",
+                            lambda x: lengths.append(series_length(x)) or lengths[-1])
+        slices = [len(ts) for ts, _ in cheb.series(_vacuum_state([1.0, 0.0], 16), t)]
+        assert max(slices) * cheb.radius * 0.5 <= oracle.SPAN_CAP
+        assert len(lengths) == len(slices) and max(lengths) <= CHUNK
+
+    @pytest.mark.parametrize("name", ["real-s-2", "lab-asymmetric"])
+    def test_series_matches_propagator(self, name):
+        cfg = LOCKSTEP_CONFIGS[name]()
+        ham = _frame(cfg).ham
+        psi = _vacuum_state([[0.6, 0.8j], [1.0, 0.0]], cfg.bath_dim)
+        t = TimeGrid(40.0, 0.1).points
+        slices = list(oracle.ChebyshevPropagator(ham).series(psi, t))
+        assert np.array_equal(np.concatenate([ts for ts, _ in slices]), t)
+        assert len({len(ts) for ts, _ in slices}) <= 2  # equal up to one point
+        states = np.concatenate([s for _, s in slices])
+        assert states.shape == (len(t), 2, cfg.dim)
+        assert np.max(np.abs(states - Propagator(ham).evolve(psi, t))) <= 1e-12
+
+
 class TestPulse:
     def test_site_swap(self):
         psi = _vacuum_state([1.0, 0.0], 4)
@@ -420,6 +505,16 @@ LOCKSTEP_CONFIGS = {
     "lab-asymmetric": KRON_CONFIGS["complex-asymmetric"],  # |g_1k| != |g_2k|
 }
 
+# larger configs for the Chebyshev route against the eigh route
+SCALE_CONFIGS = {
+    "oracle-exact": lambda: ohmic_mode_config(n_modes=3, n_max=7, coupling=0.1, s=1.0,
+                                              j_hop=0.1),
+    "real-s-2": LOCKSTEP_CONFIGS["real-s-2"],
+    "lab-2x7": lambda: TruncatedBathConfig(  # |g_1k| != |g_2k|, dim 128
+        mode_freqs=(0.7, 1.9), g_site1=(0.35 + 0.1j, 0.2), g_site2=(0.1, 0.25 - 0.15j),
+        n_max=7, j_hop=0.3, epsilon_onsite=0.2),
+}
+
 LOCKSTEP_STATES = {
     "pure": fig2_state,
     "mixed": lambda: DensityMatrixST(rho_ss=0.6, rho_tt=0.4, rho_st=0.1 + 0.05j),
@@ -508,6 +603,24 @@ class TestExactReference:
         assert np.max(np.abs(a.trajectory.pop_diff - b.trajectory.pop_diff)) < 1e-10
 
 
+def assert_matches_one_block(cfg, rho0, grid):
+    """The Chebyshev trajectory against the eigh route of
+    tests/oracle_reference.py, to 1e-12 in every field."""
+    traj = pd.exact_decoherence_reference(cfg, rho0, grid).trajectory
+    ref = trajectory_from_matrices(grid, one_block_rho(cfg, rho0, grid))
+    for field in ("rho_ss", "rho_tt", "rho_st", "coherence", "pop_diff"):
+        assert np.max(np.abs(getattr(traj, field) - getattr(ref, field))) <= 1e-12, field
+
+
+def peak_traced_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestChunkedReduction:
     @pytest.mark.parametrize("n_points", [2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
     @pytest.mark.parametrize("state", list(LOCKSTEP_STATES))
@@ -515,26 +628,49 @@ class TestChunkedReduction:
     def test_matches_one_block(self, name, state, n_points):
         # a TimeGrid has at least two points; CHUNK + 1 and 3 * CHUNK + 7 are
         # where fixed CHUNK-point slices would leave a short remainder
-        cfg = LOCKSTEP_CONFIGS[name]()
-        rho0 = LOCKSTEP_STATES[state]()
         grid = TimeGrid(0.05 * (n_points - 1), 0.05)
         assert len(grid.points) == n_points
-        traj = pd.exact_decoherence_reference(cfg, rho0, grid).trajectory
-        ref = trajectory_from_matrices(grid, one_block_rho(cfg, rho0, grid))
-        for field in ("rho_ss", "rho_tt", "rho_st", "coherence", "pop_diff"):
-            assert np.array_equal(getattr(traj, field), getattr(ref, field)), field
+        assert_matches_one_block(LOCKSTEP_CONFIGS[name](), LOCKSTEP_STATES[state](), grid)
+
+    @pytest.mark.parametrize("name, state, grid", [
+        # the benchmark's oracle-exact run: dim 1024, 801 points
+        ("oracle-exact", "pure", TimeGrid(10.0, 0.0125)),
+        ("lab-2x7", "mixed", TimeGrid(10.0, 0.0125)),
+        # radius * CHUNK * dt > SPAN_CAP, so the slices are shorter than CHUNK
+        ("real-s-2", "mixed", TimeGrid(100.0, 0.5)),
+        ("lab-2x7", "pure", TimeGrid(60.0, 0.25)),
+    ])
+    def test_matches_one_block_at_scale(self, name, state, grid):
+        cfg = SCALE_CONFIGS[name]()
+        cheb = oracle.ChebyshevPropagator(_frame(cfg).ham)
+        if grid.dt > 0.1:
+            assert cheb.radius * CHUNK * grid.dt > oracle.SPAN_CAP
+        assert_matches_one_block(cfg, LOCKSTEP_STATES[state](), grid)
 
     def test_peak_memory_below_one_amplitude_block(self):
         cfg = ohmic_mode_config(n_modes=2, n_max=7, coupling=0.1, s=1, j_hop=0.1)
         grid = TimeGrid(50.0, 0.0125)
         block = len(grid.points) * cfg.dim * 16  # T x dim complex128: 8.19 MB
-        tracemalloc.start()
-        try:
-            pd.exact_decoherence_reference(cfg, fig2_state(), grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = peak_traced_bytes(
+            lambda: pd.exact_decoherence_reference(cfg, fig2_state(), grid))
         assert peak < block
+
+    @pytest.mark.parametrize("n_steps, radius_dt", [(3, 1000.0), (CHUNK - 2, 10.0)])
+    def test_peak_memory_below_one_series_on_a_coarse_grid(self, n_steps, radius_dt):
+        # radius * span > 1000 for one series over the span: a single step
+        # (every series ~1,500 terms, held a block of CHUNK at a time), or
+        # fewer than CHUNK points (slices shortened to SPAN_CAP / radius)
+        cfg = ohmic_mode_config(n_modes=2, n_max=7, coupling=0.1, s=1, j_hop=0.1)
+        radius = oracle.ChebyshevPropagator(_frame(cfg).ham).radius
+        dt = 0.125 * math.ceil(radius_dt / (0.125 * radius))  # radius * dt just above
+        grid = TimeGrid(n_steps * dt, dt)
+        span = dt if n_steps < 4 else grid.t_max
+        n_terms = oracle._series_length(radius * span)
+        assert radius * span > 1000.0 and n_terms > 8 * CHUNK
+        series = n_terms * cfg.dim * 16  # every term held at once: 3-4 MB
+        peak = peak_traced_bytes(
+            lambda: pd.exact_decoherence_reference(cfg, fig2_state(), grid))
+        assert peak < series / 2
 
 
 # configs with |g_1k| = |g_2k|, which the oracle runs in the real frame
