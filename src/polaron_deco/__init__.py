@@ -39,7 +39,6 @@ from .numerics import (
     integrate_semiinf,
 )
 from .oracle import (
-    Propagator,
     PulseSchedule,
     TruncatedBathConfig,
     build_hamiltonian,

@@ -15,29 +15,19 @@ slowest, the Kronecker order): H_bath is a diagonal, and each coupling or
 displacement writes a * sqrt(n_k) at one lowered index pair per mode and
 basis state, with its adjoint at the mirror position.
 
-exp(-i H t) has two independent routes. A time series from one state
-(exact_decoherence_reference) is a ChebyshevPropagator: Chebyshev series in
-H, applied through its nonzero diagonals, with no eigenbasis; the grid is
+exp(-i H t) has one route, ChebyshevPropagator: a Chebyshev series in H,
+in the lab (site) basis, applied through its nonzero diagonals, with no
+eigenbasis. A time series from one state (exact_decoherence_reference) is
 propagated and reduced to 2x2 states in slices of at most CHUNK time points,
 and the series terms are held in blocks of at most CHUNK, so only
-O(CHUNK x dim) amplitudes are ever held. Pulse trains and the displacement
-unitary use a Propagator, the eigendecomposition of H built once per
-Hamiltonian and applied to state vectors: Pi pulses act on eigen-coefficients
-through V^dag Pi V, built once per run, and every pulse schedule of a run
-advances in lockstep through one product per half cycle. Each route is the
-other's check in the tests and the selftest.
+O(CHUNK x dim) amplitudes are ever held. Pulse trains (run_bangbang) stack
+the branch rows of every schedule and advance them in lockstep, one series
+per half cycle over the rows still active, each row by its own delta_t; the
+pi pulse is the site swap. The displacement check needs the whole unitary
+exp(S) and takes it from one eigh (unitary_from_generator): a matrix
+exponential, not a propagation route. The tests hold the series to
+eigendecompositions of the same H.
 
-Frames: when |g_1k| = |g_2k| for every mode (every ohmic_mode_config), the
-antiunitary (site swap) x (complex conjugation) commutes with H after the
-bath gauge b_k -> e^{i theta_k} b_k, theta_k = -(arg g_1k + arg g_2k)/2,
-which makes g_2k = conj(g_1k) (Dyson, J. Math. Phys. 3, 1199 (1962)). In
-the basis u_n = (|1,n> + |2,n>)/sqrt2, v_n = i(|1,n> - |2,n>)/sqrt2, H is
-then the real symmetric [[Re A + J, -Im A], [Im A, Re A - J]] (A the gauged
-site-1 block), eigh and its products run in real arithmetic, and the pi pulse
-is diag(I, -I). The gauge acts on the bath alone, so it leaves the vacuum
-and every reduced state unchanged; only a 2x2 map on the site index is
-applied, at the two ends. Other configurations propagate the same way in
-the lab (site) basis with complex H, where the pulse is the site swap.
 Reported reduced states have the ideal system-only rotation exp(-i H_S t)
 undone, so a perfectly protected qubit returns exactly to its initial
 state; the site-swap pulse commutes with H_S, which makes that rotation
@@ -64,7 +54,6 @@ __all__ = [
     "build_hamiltonian",
     "lang_firsov_generator",
     "lang_firsov_check",
-    "Propagator",
     "ChebyshevPropagator",
     "run_bangbang",
     "exact_decoherence_reference",
@@ -271,18 +260,6 @@ def lang_firsov_generator(config: TruncatedBathConfig, particles: int = 1) -> np
     return gen
 
 
-def _matmul(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """a @ m; a complex a times a real m is one real GEMM on the stacked real
-    and imaginary parts of a, not a complex GEMM on a complex copy of m."""
-    if np.iscomplexobj(m) or not np.iscomplexobj(a):
-        return a @ m
-    rows = a.reshape(-1, a.shape[-1])
-    parts = np.concatenate([rows.real, rows.imag]) @ m
-    out = np.empty((len(rows), m.shape[-1]), dtype=complex)
-    out.real, out.imag = parts[:len(rows)], parts[len(rows):]
-    return out.reshape(a.shape[:-1] + m.shape[-1:])
-
-
 def _require_hermitian(dev: float) -> None:
     """ConfigError unless max |H - H^dag| = dev is at most 1e-12; a
     non-finite H gives a NaN dev, which fails too."""
@@ -291,43 +268,6 @@ def _require_hermitian(dev: float) -> None:
             f"exact propagation requires a finite Hermitian matrix "
             f"(max |H - H^dag| = {dev:.3e})"
         )
-
-
-class Propagator:
-    """exp(-i H t) for one Hermitian H, held as its eigendecomposition H = V E V^dag.
-
-    A real (symmetric) H gives a real V, and every product with V is then a
-    real GEMM; the dtype of H decides, not its values.
-    """
-
-    def __init__(self, ham: np.ndarray):
-        ham = np.asarray(ham)
-        with np.errstate(invalid="ignore"):  # inf - inf
-            _require_hermitian(float(np.max(np.abs(ham - ham.conj().T))))
-        self.energies, self.vectors = np.linalg.eigh(ham)
-
-    def coefficients(self, psi: np.ndarray) -> np.ndarray:
-        """Eigen-coefficients V^dag psi of states along the last axis."""
-        return _matmul(np.asarray(psi).conj(), self.vectors).conj()  # no copy of V
-
-    def states(self, coeffs: np.ndarray) -> np.ndarray:
-        """State vectors V c of eigen-coefficients along the last axis."""
-        return _matmul(coeffs, self.vectors.T)
-
-    def phases(self, t) -> np.ndarray:
-        """exp(-i E t), shape np.shape(t) + (dim,)."""
-        return np.exp(-1j * np.multiply.outer(t, self.energies))
-
-    def evolve(self, psi: np.ndarray, t) -> np.ndarray:
-        """exp(-i H t) psi for states along the last axis of psi.
-
-        The result has shape np.shape(t) + psi.shape: a scalar t evolves a
-        state (or a stack of states) to one time, a 1-d t to every time.
-        """
-        psi = np.asarray(psi)
-        t = np.asarray(t, dtype=float)
-        phases = self.phases(t).reshape(t.shape + (1,) * (psi.ndim - 1) + (-1,))
-        return self.states(phases * self.coefficients(psi))
 
 
 def _series_length(x: float) -> int:
@@ -420,18 +360,33 @@ class ChebyshevPropagator:
             if k % CHUNK == len(block) - 1 or k == n_terms - 1:
                 yield k - k % CHUNK, block[:k % CHUNK + 1]
 
-    def _evolve(self, psi: np.ndarray, tau) -> np.ndarray:
+    def coefficients(self, tau) -> np.ndarray:
+        """Series coefficients of exp(-i H tau), one row per entry of the 1-d
+        tau, with as many terms as the largest radius * tau needs."""
+        tau = np.asarray(tau, dtype=float)
+        x = self.radius * tau
+        coef = _bessel_coefficients(x, _series_length(float(np.max(x))))
+        return coef * np.exp(-1j * self.center * tau)[:, None]
+
+    def evolve(self, psi: np.ndarray, tau) -> np.ndarray:
         """exp(-i H tau) psi for every tau, shape np.shape(tau) + psi.shape:
         one Chebyshev series, summed by one product per block of terms."""
         psi = np.asarray(psi, dtype=complex)
         tau = np.asarray(tau, dtype=float)
-        x = self.radius * tau
-        n_terms = _series_length(float(np.max(x)))
-        coef = _bessel_coefficients(x, n_terms) * np.exp(-1j * self.center * tau)[:, None]
-        out = np.zeros((len(tau), psi.size), dtype=complex)
-        for k0, block in self._chebyshev_blocks(psi, n_terms):
+        coef = self.coefficients(tau.ravel())
+        out = np.zeros((len(coef), psi.size), dtype=complex)
+        for k0, block in self._chebyshev_blocks(psi, coef.shape[1]):
             out += coef[:, k0:k0 + len(block)] @ block.reshape(len(block), -1)
         return out.reshape(tau.shape + psi.shape)
+
+    def evolve_rows(self, psi: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """exp(-i H tau_r) psi_r for every row r of the 2-d psi, each by its
+        own tau_r, given coef = coefficients(tau): one series for all rows."""
+        psi = np.asarray(psi, dtype=complex)
+        out = np.zeros_like(psi)
+        for k0, block in self._chebyshev_blocks(psi, coef.shape[1]):
+            out += np.einsum("rk,krd->rd", coef[:, k0:k0 + len(block)], block)
+        return out
 
     def series(self, psi: np.ndarray, t):
         """Yield (ts, exp(-i H (ts - t[0])) psi) over consecutive equal slices
@@ -447,15 +402,16 @@ class ChebyshevPropagator:
         per_slice = CHUNK if width * CHUNK <= SPAN_CAP else max(1, int(SPAN_CAP / width))
         anchor_t, anchor = t[0], np.asarray(psi, dtype=complex)
         for ts in np.array_split(t, -(-len(t) // per_slice)):
-            states = self._evolve(anchor, ts - anchor_t)
+            states = self.evolve(anchor, ts - anchor_t)
             yield ts, states
             anchor_t, anchor = ts[-1], states[-1]
 
 
 def unitary_from_generator(s_matrix: np.ndarray) -> np.ndarray:
-    """exp(S) for anti-Hermitian S: the propagator of H = iS at t = 1."""
-    prop = Propagator(1j * s_matrix)
-    return prop.evolve(np.eye(len(s_matrix)), 1.0).T  # row j is exp(S) e_j
+    """exp(S) for anti-Hermitian S, from one eigh of the Hermitian iS = V E V^dag:
+    exp(S) = V exp(-i E) V^dag. The transform check needs the whole unitary."""
+    energies, vectors = np.linalg.eigh(1j * s_matrix)
+    return (vectors * np.exp(-1j * energies)) @ vectors.conj().T
 
 
 @dataclass(frozen=True)
@@ -549,65 +505,17 @@ def lang_firsov_check(config: TruncatedBathConfig,
 # States and propagation
 # ---------------------------------------------------------------------------
 
-_SITE_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+def _site_swap(amps: np.ndarray) -> np.ndarray:
+    """The pi pulse: the site-1 and site-2 halves of amplitude vectors along
+    the last axis exchanged; the bath index is untouched."""
+    halves = amps.reshape(*amps.shape[:-1], 2, amps.shape[-1] // 2)
+    return halves[..., ::-1, :].reshape(amps.shape)
 
 
-@dataclass(frozen=True)
-class _Frame:
-    """Basis the oracle propagates in: two bath blocks of dim / 2 states each.
-
-    ham: H in this basis; pulse: the pi pulse as a 2x2 acting on the block
-    index; from_site: block amplitudes of a site-basis pair (|1>, |2>);
-    to_st: [T, S] amplitudes of a block pair.
-    """
-
-    ham: np.ndarray
-    pulse: np.ndarray
-    from_site: np.ndarray
-    to_st: np.ndarray
-
-
-def _gauge_angles(config: TruncatedBathConfig):
-    """theta_k = -(arg g_1k + arg g_2k) / 2 when |g_1k| = |g_2k| for every
-    mode, to a few ulp (ohmic_mode_config leaves differences of 1e-16);
-    None otherwise."""
-    g1, g2 = np.array(config.g_site1), np.array(config.g_site2)
-    m1, m2 = np.abs(g1), np.abs(g2)
-    if np.any(np.abs(m1 - m2) > 4.0 * np.finfo(float).eps * np.maximum(m1, m2)):
-        return None
-    return -0.5 * (np.angle(g1) + np.angle(g2))
-
-
-def _frame(config: TruncatedBathConfig) -> _Frame:
-    """The real symmetric frame of the module docstring when the couplings
-    allow it, else the lab (site) basis with the complex H."""
-    ham = build_hamiltonian(config)
-    theta = _gauge_angles(config)
-    if theta is None:
-        return _Frame(ham=ham, pulse=_SITE_SWAP, from_site=np.eye(2),
-                      to_st=_ST_FROM_SITE)
-    db = config.bath_dim
-    occ, _ = _bath_ladders(config)
-    phi = theta @ occ  # gauge phase of every bath basis state
-    a = ham[:db, :db] * np.exp(1j * (phi[None, :] - phi[:, None]))
-    hop = ham[:db, db:].real  # J * I; the gauge acts alike on both sites
-    real = np.block([[a.real + hop, -a.imag], [a.imag, a.real - hop]])
-    return _Frame(ham=real, pulse=np.diag([1.0, -1.0]),
-                  from_site=np.array([[1.0, 1.0], [-1j, 1j]]) / math.sqrt(2.0),
-                  to_st=np.diag([1.0, 1j]))
-
-
-def _on_blocks(m: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """The 2x2 m applied to the block index of amplitude vectors along the
-    last axis; the bath index is untouched."""
-    blocks = amps.reshape(*amps.shape[:-1], 2, amps.shape[-1] // 2)
-    return (m @ blocks).reshape(amps.shape)
-
-
-def _vacuum_state(block_amps, bath_dim: int) -> np.ndarray:
-    """Normalized block amplitude pairs (along the last axis) times the bath
+def _vacuum_state(site_amps, bath_dim: int) -> np.ndarray:
+    """Normalized site amplitude pairs (along the last axis) times the bath
     vacuum, as vectors of length 2 * bath_dim."""
-    amps = np.asarray(block_amps, dtype=complex)
+    amps = np.asarray(site_amps, dtype=complex)
     norm = np.linalg.norm(amps, axis=-1)
     if np.any(np.abs(norm - 1.0) > 1e-10):
         raise InvariantError(f"state norm {norm} deviates from 1 beyond 1e-10")
@@ -636,8 +544,8 @@ class PulseSchedule:
     def __post_init__(self):
         if self.cycles < 1:
             raise ConfigError(f"cycles must be >= 1, got {self.cycles}")
-        if not self.total_time > 0:
-            raise ConfigError(f"total_time must be > 0, got {self.total_time}")
+        if not (math.isfinite(self.total_time) and self.total_time > 0):
+            raise ConfigError(f"total_time must be finite and > 0, got {self.total_time}")
 
     @property
     def delta_t(self) -> float:
@@ -660,12 +568,12 @@ def _initial_site_branches(rho0: DensityMatrixST):
     return [(float(p), vecs[:, i]) for i, p in enumerate(weights) if p > 1e-14]
 
 
-def _reduced_st_series(amp_series: np.ndarray, to_st: np.ndarray) -> np.ndarray:
-    """[T, S] reduced density matrices of a stack of states (leading axis),
-    whose two blocks map to [T, S] amplitudes by to_st."""
+def _reduced_st_series(amp_series: np.ndarray) -> np.ndarray:
+    """[T, S] reduced density matrices of a stack of site-basis states
+    (leading axis)."""
     a = amp_series.reshape(amp_series.shape[0], 2, -1)
-    rho_block = np.einsum("tpm,tqm->tpq", a, a.conj())
-    return np.einsum("ip,tpq,jq->tij", to_st, rho_block, to_st.conj())
+    rho_site = np.einsum("tpm,tqm->tpq", a, a.conj())
+    return np.einsum("ip,tpq,jq->tij", _ST_FROM_SITE, rho_site, _ST_FROM_SITE.conj())
 
 
 @dataclass(frozen=True)
@@ -716,9 +624,14 @@ def run_bangbang(config: TruncatedBathConfig, rho0: DensityMatrixST,
     same total time; both reduced states are compared to rho0 after undoing
     the ideal rotation.
     All schedules run in lockstep: their branch rows are stacked, longest
-    schedule first, each row with its own exp(-i E dt), and every half
-    cycle applies V^dag Pi V once to the rows that still have steps left,
-    so the pulse matrix is read 2 * max(N) times rather than 2 * sum(N).
+    schedule first, and every half cycle swaps the sites of the rows that
+    still have steps left and advances them by one Chebyshev series, each
+    row by its own dt (ChebyshevPropagator.evolve_rows). So a run takes
+    2 * max(N) series rather than 2 * sum(N), and the series coefficients
+    are built once per active-row count.
+    The cost grows with radius * total_time (a series over dt has about
+    radius * dt terms), where an eigendecomposition would cost one fixed
+    dim^3; at the CLI default T = 4 the series is the faster of the two.
     Results come sorted by delta_t.
     With at least three schedules of a common total time, a log-log fit of
     the pulsed distance against delta_t estimates the scaling exponent
@@ -735,34 +648,33 @@ def run_bangbang(config: TruncatedBathConfig, rho0: DensityMatrixST,
         raise ConfigError("all schedules must share one total_time for the scaling fit")
     total_time = schedules[0].total_time
 
-    frame = _frame(config)
-    prop = Propagator(frame.ham)
+    prop = ChebyshevPropagator(build_hamiltonian(config))
     rho0_matrix = rho0.matrix()
     branches = _initial_site_branches(rho0)
-    psi0 = _vacuum_state([frame.from_site @ vec for _, vec in branches], config.bath_dim)
+    psi0 = _vacuum_state([vec for _, vec in branches], config.bath_dim)
     undo = _ideal_rotation(config, total_time)
 
     def distance(psi):
-        reduced = _reduced_st_series(psi, frame.to_st)
-        rho = sum(p * r for (p, _), r in zip(branches, reduced))
+        rho = sum(p * r for (p, _), r in zip(branches, _reduced_st_series(psi)))
         return trace_distance(undo[:, None] * rho * undo.conj(), rho0_matrix)
 
     distance_free = distance(prop.evolve(psi0, total_time))
-    # row j of pulse_t is the coefficients of Pi v_j: (V^dag Pi V)^T
-    pulse_t = prop.coefficients(_on_blocks(frame.pulse, prop.vectors.T))
     # one block of branch rows per schedule, longest first, so the rows that
     # still take a half cycle at step k are always a prefix
     schedules.sort(key=lambda s: -s.cycles)
     nb = len(psi0)
-    c = np.tile(prop.coefficients(psi0), (len(schedules), 1))
-    free = np.repeat(prop.phases([s.delta_t for s in schedules]), nb, axis=0)
+    psi = np.tile(psi0, (len(schedules), 1))
+    delta_t = np.repeat([s.delta_t for s in schedules], nb)
     half_cycles = np.repeat([2 * s.cycles for s in schedules], nb)
+    coef = None
     for k in range(half_cycles[0]):
         n = np.count_nonzero(half_cycles > k)
-        c[:n] = free[:n] * _matmul(c[:n], pulse_t)
+        if coef is None or len(coef) != n:  # once per active-row count
+            coef = prop.coefficients(delta_t[:n])
+        psi[:n] = prop.evolve_rows(_site_swap(psi[:n]), coef)
     results = [BangBangResult(
         delta_t=s.delta_t, n_cycles=s.cycles, distance_free=distance_free,
-        distance_pulsed=distance(prop.states(c[i * nb:(i + 1) * nb])),
+        distance_pulsed=distance(psi[i * nb:(i + 1) * nb]),
     ) for i, s in enumerate(schedules)]
     results.sort(key=lambda r: r.delta_t)
 
@@ -800,14 +712,12 @@ def exact_decoherence_reference(config: TruncatedBathConfig, rho0: DensityMatrix
     and reduced slice by slice. States are reported with the ideal rotation
     undone, which leaves the coherence magnitude and populations untouched.
     """
-    frame = _frame(config)
     t = grid.points
     branches = _initial_site_branches(rho0)
-    psi0 = _vacuum_state([frame.from_site @ vec for _, vec in branches], config.bath_dim)
+    psi0 = _vacuum_state([vec for _, vec in branches], config.bath_dim)
     rho_t = np.concatenate([
-        sum(p * _reduced_st_series(states[:, b], frame.to_st)
-            for b, (p, _) in enumerate(branches))
-        for _, states in ChebyshevPropagator(frame.ham).series(psi0, t)])
+        sum(p * _reduced_st_series(states[:, b]) for b, (p, _) in enumerate(branches))
+        for _, states in ChebyshevPropagator(build_hamiltonian(config)).series(psi0, t)])
     d = _ideal_rotation(config, t)
     rho_t = d[:, :, None] * rho_t * d.conj()[:, None, :]
     # t = 0 is the input itself, so a zero rho_ST(0) stays exactly zero and the
