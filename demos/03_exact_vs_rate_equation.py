@@ -1,10 +1,15 @@
 """Brute force against the rate equation, on the same discrete bath.
 
-A couple of truncated bosonic modes are small enough to diagonalize exactly,
-which gives a no-approximation reference for the reduced dynamics. Feeding
-the very same mode set into the rate-equation kernels (a sum replaces the
-continuum integral) removes discretization from the comparison, so whatever
-residual remains is the time-local / weak-dressing approximation itself.
+A couple of truncated bosonic modes are small enough to propagate exactly
+(a Chebyshev series on the truncated space), which gives a no-approximation
+reference for the reduced dynamics. Feeding the very same mode set into the
+rate-equation kernels (a sum replaces the continuum integral) removes
+discretization from the comparison. The residual that remains is not mainly
+the time-local / weak-dressing approximation: it is dominated by the exact
+run starting in the bare bath vacuum and being reported in the lab frame
+(the rate equation assumes a factorized polaron-frame state), and, at s = 1,
+by a phase of the dressed hopping that the rate equation does not have
+(LangFirsovReport.hop_phase).
 
 The rate treatment is trustworthy when the dressed hopping is small against
 the lowest bath frequency; the script prints that ratio next to the RMS

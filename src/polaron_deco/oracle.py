@@ -8,25 +8,26 @@ pulse-train (bang-bang) protection protocol with measured error scaling.
 
 Everything is restricted to the single-particle sector (plus an optional
 two-particle block for the induced interaction check), so the Hilbert space
-is 2 * (n_max + 1)^n_modes and dense operators are cheap.
+is 2 * (n_max + 1)^n_modes.
 
-Operators are filled from one occupation table of the bath basis (mode 0
-slowest, the Kronecker order): H_bath is a diagonal, and each coupling or
-displacement writes a * sqrt(n_k) at one lowered index pair per mode and
-basis state, with its adjoint at the mirror position.
+Operators are BandedOperators, written from one occupation table of the
+bath basis (mode 0 slowest, the Kronecker order): H_bath is the main
+diagonal, the hopping J sits at offsets +-bath_dim, and each coupling or
+displacement writes a * sqrt(n_k) on the diagonal at +stride_k of its
+mode, with its adjoint on the mirror diagonal. No dense matrix is built.
 
 exp(-i H t) has one route, ChebyshevPropagator: a Chebyshev series in H,
-in the lab (site) basis, applied through its nonzero diagonals, with no
-eigenbasis. A time series from one state (exact_decoherence_reference) is
-propagated and reduced to 2x2 states in slices of at most CHUNK time points,
-and the series terms are held in blocks of at most CHUNK, so only
-O(CHUNK x dim) amplitudes are ever held. Pulse trains (run_bangbang) stack
-the branch rows of every schedule and advance them in lockstep, one series
-per half cycle over the rows still active, each row by its own delta_t; the
-pi pulse is the site swap. The displacement check needs the whole unitary
-exp(S) and takes it from one eigh (unitary_from_generator): a matrix
-exponential, not a propagation route. The tests hold the series to
-eigendecompositions of the same H.
+in the lab (site) basis, applied through its bands, with no eigenbasis. A
+time series from one state (exact_decoherence_reference) is propagated and
+reduced to 2x2 states in slices of at most CHUNK time points, and the
+series terms are held in blocks of at most CHUNK, so only O(CHUNK x dim)
+amplitudes are ever held. Pulse trains (run_bangbang) stack the branch
+rows of every schedule and advance them in lockstep, one series per half
+cycle over the rows still active, each row by its own delta_t; the pi
+pulse is the site swap. The displacement check (lang_firsov_check) needs
+only exp(-S) applied to vacuum states, which the same series gives on the
+Hermitian -iS at tau = 1. The tests hold the series to eigendecompositions
+of Kronecker-product builds of the same H.
 
 Reported reduced states have the ideal system-only rotation exp(-i H_S t)
 undone, so a perfectly protected qubit returns exactly to its initial
@@ -54,6 +55,7 @@ __all__ = [
     "build_hamiltonian",
     "lang_firsov_generator",
     "lang_firsov_check",
+    "BandedOperator",
     "ChebyshevPropagator",
     "run_bangbang",
     "exact_decoherence_reference",
@@ -165,7 +167,12 @@ def ohmic_mode_config(n_modes: int = 2, n_max: int = 6, coupling: float = 1.0,
     Modes sit at omega_j = (j - 1/2) * domega on (0, OMEGA_MAX] with
     |g_j|^2 = coupling * omega_j * exp(-omega_j^2) * domega, and the site-2
     phase e^{-i omega_j s} implements the separation under linear
-    dispersion. Refining domega converges to the continuum kernels.
+    dispersion. This is not the paper's spectral density: per mode,
+    |alpha_j|^2 = 2 coupling exp(-omega_j^2) (1 - cos(omega_j s)) domega /
+    omega_j, not 2 lambda omega_j exp(-omega_j^2) (1 - sinc(omega_j s))
+    domega, so refining domega does not converge to the continuum kernels
+    (summed over 2048 modes at s = 1 and coupling = lambda = 0.1, K_c(0) is
+    0.0461 against the continuum's 0.0151).
 
     The default s = pi puts both default modes (omega = 1, 3) at
     omega * s = pi mod 2pi, where the symmetric (pulse-surviving) coupling
@@ -188,76 +195,97 @@ def ohmic_mode_config(n_modes: int = 2, n_max: int = 6, coupling: float = 1.0,
 # ---------------------------------------------------------------------------
 
 def _bath_ladders(config: TruncatedBathConfig):
-    """Occupation table of the bath basis and the ladder of every mode.
+    """Occupation table of the bath basis and the ladder stride of every mode.
 
     Basis index idx = sum_k n_k * stride_k, mode 0 slowest (Kronecker order).
-    Returns occ[k, idx] = n_k and, per mode, the indices with n_k >= 1, their
-    lowered indices idx - stride_k and sqrt(n_k):
-    b_k |idx> = sqrt(n_k) |idx - stride_k>.
+    Returns occ[k, idx] = n_k and stride_k: b_k |idx> = sqrt(n_k) |idx - stride_k>.
     """
     d = config.n_max + 1
     strides = d ** np.arange(config.n_modes - 1, -1, -1)
-    occ = np.arange(config.bath_dim) // strides[:, None] % d
-    ladders = []
-    for n, stride in zip(occ, strides):
-        up = np.flatnonzero(n)
-        ladders.append((up, up - stride, np.sqrt(n[up])))
-    return occ, ladders
+    return np.arange(config.bath_dim) // strides[:, None] % d, strides
 
 
-def _fill(mat: np.ndarray, ladders, particles: int, site_amps,
-          adjoint_sign: float = 1.0) -> None:
-    """mat += sum_{p,k} n_p (a_pk b_k + adjoint_sign * conj(a_pk) b_k^dag), in place.
+class BandedOperator:
+    """A square matrix held as its diagonals that have a nonzero entry, plus
+    the main diagonal: bands = {offset: diagonal} in ascending offset order,
+    the diagonal at offset o holding the entries [r, r + o], as
+    np.diagonal(matrix, o) would."""
 
-    site_amps = (a_1k, a_2k). In the one-particle block, n_p selects site p's
-    diagonal bath block of mat; in the two-particle block both sites act on
-    all of mat.
+    def __init__(self, bands: dict, dim: int):
+        self.bands = dict(sorted({0: np.zeros(dim, dtype=complex), **bands}.items()))
+        self.shape = (dim, dim)
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix (for references and tests; no route needs it)."""
+        return sum(np.diag(d, o) for o, d in self.bands.items())
+
+    def add_product(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out += (this matrix) x for states along the last axis; returns out."""
+        n = self.shape[0]
+        for o, d in self.bands.items():
+            if o >= 0:
+                out[..., :n - o] += d * x[..., o:]
+            else:
+                out[..., -o:] += d * x[..., :n + o]
+        return out
+
+
+def _banded(config: TruncatedBathConfig, particles: int, site_amps, adjoint_sign: float,
+            eps: float, freqs, hop: float) -> BandedOperator:
+    """particles * eps + sum_k freqs_k n_k on the main diagonal, plus
+    sum_{p,k} n_p (a_pk b_k + adjoint_sign * conj(a_pk) b_k^dag) with
+    site_amps = (a_1k, a_2k), plus hop times the site swap, as the bands of
+    one fermion-number block.
+
+    a_pk b_k writes a_pk sqrt(n_k + 1) at offset +stride_k on every row with
+    n_k < n_max, its adjoint the mirror entry at -stride_k. In the
+    one-particle block site p's amplitudes fill the rows of its bath block;
+    in the two-particle block both sites act on every row.
     """
-    db = len(mat) // 2
-    blocks = (mat, mat) if particles == 2 else (mat[:db, :db], mat[db:, db:])
-    for block, amps in zip(blocks, site_amps):
-        for (up, down, root), a in zip(ladders, amps):
-            block[down, up] += a * root
-            block[up, down] += adjoint_sign * np.conj(a) * root
+    if particles not in (1, 2):
+        raise ConfigError(f"particles must be 1 or 2, got {particles}")
+    occ, strides = _bath_ladders(config)
+    db = config.bath_dim
+    sites = 3 - particles  # bath blocks in the block: one per site, or one
+    bands = {0: np.tile(particles * eps + sum(w * n for w, n in zip(freqs, occ)),
+                        sites).astype(complex)}
+    for k, (n, stride) in enumerate(zip(occ, strides)):
+        raised = np.flatnonzero(n < config.n_max)
+        root = np.sqrt(n[raised] + 1.0)
+        up, down = np.zeros((2, sites * db), dtype=complex)
+        for p, amps in enumerate(site_amps):
+            rows = raised + (db * p if particles == 1 else 0)
+            up[rows] += amps[k] * root
+            down[rows] += adjoint_sign * np.conj(amps[k]) * root
+        if np.any(up):
+            bands[stride], bands[-stride] = up[:-stride], down[:-stride]
+    if hop:
+        bands[db] = bands[-db] = np.full(db, hop, dtype=complex)
+    return BandedOperator(bands, sites * db)
 
 
-def build_hamiltonian(config: TruncatedBathConfig, particles: int = 1) -> np.ndarray:
-    """Dense Hamiltonian of one fermion-number block.
+def build_hamiltonian(config: TruncatedBathConfig, particles: int = 1) -> BandedOperator:
+    """Hamiltonian of one fermion-number block, as bands.
 
     particles=1 (default): basis |site> (x) |Fock>, dimension 2 * bath_dim,
     H = eps*(n1+n2) + J*(site swap) + H_bath + site-conditioned couplings.
     particles=2: the single state |11> (x) |Fock>; hopping is Pauli blocked
-    and both couplings add. particles=0: bare bath block.
+    and both couplings add.
 
     Block diagonality in total fermion number is structural (each block is
     built separately); Hermiticity is exact (mirror entries are conjugates).
     """
-    if particles not in (0, 1, 2):
-        raise ConfigError(f"particles must be 0, 1 or 2, got {particles}")
-    occ, ladders = _bath_ladders(config)
-    h_bath = sum(w * n for w, n in zip(config.mode_freqs, occ))
-    diag = particles * config.epsilon_onsite + h_bath
-    ham = np.diag(np.tile(diag, 2 if particles == 1 else 1).astype(complex))
-    if particles == 1:
-        r = np.arange(config.bath_dim)
-        ham[r, r + config.bath_dim] = ham[r + config.bath_dim, r] = config.j_hop
-    if particles:
-        _fill(ham, ladders, particles, (config.g_site1, config.g_site2))
-    return ham
+    return _banded(config, particles, (config.g_site1, config.g_site2), 1.0,
+                   config.epsilon_onsite, config.mode_freqs,
+                   config.j_hop if particles == 1 else 0.0)
 
 
-def lang_firsov_generator(config: TruncatedBathConfig, particles: int = 1) -> np.ndarray:
+def lang_firsov_generator(config: TruncatedBathConfig, particles: int = 1) -> BandedOperator:
     """Anti-Hermitian generator of the displacement transformation,
     S = -sum_{p,k} n_p (g_pk b_k - g_pk^* b_k^dag) / omega_k, in one block."""
-    if particles not in (1, 2):
-        raise ConfigError(f"particles must be 1 or 2, got {particles}")
-    _, ladders = _bath_ladders(config)
-    dim = config.dim if particles == 1 else config.bath_dim
-    gen = np.zeros((dim, dim), dtype=complex)
     amps = [[-g / w for g, w in zip(gs, config.mode_freqs)]
             for gs in (config.g_site1, config.g_site2)]
-    _fill(gen, ladders, particles, amps, adjoint_sign=-1.0)
-    return gen
+    return _banded(config, particles, amps, -1.0, 0.0, [0.0] * config.n_modes, 0.0)
 
 
 def _require_hermitian(dev: float) -> None:
@@ -304,41 +332,33 @@ class ChebyshevPropagator:
     exp(-i H tau) = exp(-i center tau) sum_k (2 - delta_k0) (-i)^k
     J_k(radius tau) T_k((H - center) / radius). The Chebyshev vectors
     T_k psi come from the three-term recurrence, and H enters only through
-    products with its nonzero diagonals.
+    products with its bands (BandedOperator).
     """
 
-    def __init__(self, ham: np.ndarray):
-        ham = np.asarray(ham)
-        self.dim = n = len(ham)
-        nonzero = np.flatnonzero(ham)
-        diagonals = {int(o): np.diagonal(ham, o)
-                     for o in np.union1d(nonzero % n - nonzero // n, [0])}
+    def __init__(self, ham: BandedOperator):
+        n = ham.shape[0]
         with np.errstate(invalid="ignore"):  # inf - inf
             _require_hermitian(float(np.max(
-                [np.max(np.abs(d - np.conj(diagonals.get(-o, 0.0))))
-                 for o, d in diagonals.items()])))
+                [np.max(np.abs(d - np.conj(ham.bands.get(-o, 0.0))))
+                 for o, d in ham.bands.items()])))
         # off-diagonal absolute row sums, each diagonal added to the rows it touches
         radii = np.zeros(n)
-        for o, d in diagonals.items():
+        for o, d in ham.bands.items():
             if o:
                 radii[max(0, -o):n - max(0, o)] += np.abs(d)
-        main = diagonals[0].real
+        main = ham.bands[0].real
         low, high = float(np.min(main - radii)), float(np.max(main + radii))
         self.center, self.radius = 0.5 * (high + low), 0.5 * (high - low)
-        # the diagonals of 2 (H - center) / radius, the recurrence's step; with
-        # radius 0 every series has one term and the step is never taken
+        # 2 (H - center) / radius, the recurrence's step; with radius 0 every
+        # series has one term and the step is never taken
         scale = 2.0 / self.radius if self.radius > 0.0 else 0.0
-        self._bands = [(o, scale * (d - self.center) if o == 0 else scale * d)
-                       for o, d in diagonals.items()]
+        self._step_operator = BandedOperator(
+            {o: scale * (d - self.center) if o == 0 else scale * d
+             for o, d in ham.bands.items()}, n)
 
     def _step(self, x: np.ndarray, out: np.ndarray) -> None:
         """out += 2 (H - center) x / radius for states along the last axis."""
-        n = self.dim
-        for o, d in self._bands:
-            if o >= 0:
-                out[..., :n - o] += d * x[..., o:]
-            else:
-                out[..., -o:] += d * x[..., :n + o]
+        self._step_operator.add_product(x, out)
 
     def _chebyshev_blocks(self, psi: np.ndarray, n_terms: int):
         """Yield (k0, block): block[i] = T_{k0 + i}((H - center) / radius) psi,
@@ -407,17 +427,11 @@ class ChebyshevPropagator:
             anchor_t, anchor = ts[-1], states[-1]
 
 
-def unitary_from_generator(s_matrix: np.ndarray) -> np.ndarray:
-    """exp(S) for anti-Hermitian S, from one eigh of the Hermitian iS = V E V^dag:
-    exp(S) = V exp(-i E) V^dag. The transform check needs the whole unitary."""
-    energies, vectors = np.linalg.eigh(1j * s_matrix)
-    return (vectors * np.exp(-1j * energies)) @ vectors.conj().T
-
-
 @dataclass(frozen=True)
 class LangFirsovReport:
-    spectrum_max_dev: float
+    displaced_vacuum_dev: float
     hop_measured: float
+    hop_phase: float
     hop_expected: float
     truncation_tail: float
     suggested_n_max: int
@@ -430,69 +444,83 @@ class LangFirsovReport:
         return abs(self.hop_measured - self.hop_expected)
 
 
-def _coherent_tail(weight: float, n_max: int) -> float:
-    """Poisson weight beyond the Fock cutoff for a displacement of |alpha|^2 = weight."""
-    term = math.exp(-weight)
+def _coherent_tail(weights: np.ndarray, n_max: int) -> float:
+    """Poisson weight beyond the Fock cutoff, summed over displacements of
+    |alpha_k|^2 = weights."""
+    term = np.exp(-weights)
     acc = term
     for n in range(1, n_max + 1):
-        term *= weight / n
-        acc += term
-    return max(0.0, 1.0 - acc)
+        term = term * weights / n
+        acc = acc + term
+    return float(np.sum(np.maximum(0.0, 1.0 - acc)))
+
+
+def _transformed(config: TruncatedBathConfig, particles: int, rows: np.ndarray):
+    """exp(-S) v for the state rows v of one fermion-number block, from the
+    series of the Hermitian -iS at tau = 1, and the matrix of elements
+    <v_i| exp(S) H exp(-S) |v_j>, from one band product with H."""
+    gen = lang_firsov_generator(config, particles)
+    minus_i_s = BandedOperator({o: -1j * d for o, d in gen.bands.items()}, gen.shape[0])
+    displaced = ChebyshevPropagator(minus_i_s).evolve(rows, 1.0)
+    h_displaced = build_hamiltonian(config, particles).add_product(
+        displaced, np.zeros_like(displaced))
+    return displaced, displaced.conj() @ h_displaced.T
+
+
+def _coherent_vacuum(config: TruncatedBathConfig, betas) -> np.ndarray:
+    """The product of coherent states, prod_k exp(-|beta_k|^2 / 2)
+    beta_k^{n_k} / sqrt(n_k!), over the bath basis up to n_max: the exact
+    displaced vacuum, cut at the Fock cutoff without renormalizing."""
+    occ, _ = _bath_ladders(config)
+    n = np.arange(1, config.n_max + 1)
+    amps = [math.exp(-0.5 * abs(b) ** 2) * np.cumprod(np.r_[1.0, b / np.sqrt(n)])
+            for b in betas]
+    return np.prod([a[n_k] for a, n_k in zip(amps, occ)], axis=0)
 
 
 def lang_firsov_check(config: TruncatedBathConfig,
                       include_two_particle: bool = True) -> LangFirsovReport:
     """Numerical verification of the displacement transformation.
 
-    Checks, on the truncated space: (i) the spectrum is invariant under the
-    similarity transform exp(S) H exp(-S); (ii) the vacuum matrix element of
-    the transformed hopping has magnitude J exp(-sum|alpha_k|^2 / 2); and
-    optionally (iii) the two-particle block's vacuum energy carries the
-    polaron shift -sum_k (|g_1k|^2 + |g_2k|^2)/omega_k minus the induced
-    interaction. A Poisson estimate of the displaced-vacuum weight beyond
-    n_max qualifies the result: above TAIL_THRESHOLD the report is marked
-    inconclusive and suggests a larger cutoff.
+    exp(-S)|p, vac> for both sites comes from one series of -iS, and one
+    product with H gives <1, vac| exp(S) H exp(-S) |2, vac>: its magnitude
+    should be J exp(-sum|alpha_k|^2 / 2), and its phase is reported. The
+    series states are held to the product of coherent states with
+    beta_pk = -g_pk^* / omega_k, which they equal up to the Fock cutoff
+    (displaced_vacuum_dev). Optionally the two-particle block's vacuum
+    energy <vac| exp(S) H_2 exp(-S) |vac> should carry the polaron shift
+    -sum_k (|g_1k|^2 + |g_2k|^2)/omega_k minus the induced interaction. A
+    Poisson estimate of the displaced-vacuum weight beyond n_max qualifies
+    the result: above TAIL_THRESHOLD the report is marked inconclusive and
+    suggests a larger cutoff.
     """
-    ham = build_hamiltonian(config)
-    gen = lang_firsov_generator(config)
-    u = unitary_from_generator(gen)
-    transformed = u @ ham @ u.conj().T
-    spectrum_dev = float(np.max(np.abs(
-        np.sort(np.linalg.eigvalsh(ham)) - np.sort(np.linalg.eigvalsh(transformed))
-    )))
-
     db = config.bath_dim
-    hop_measured = float(np.abs(transformed[0, db]))  # <site1, vac| H' |site2, vac>
-    hop_expected = abs(config.j_tilde())
+    w = np.array(config.mode_freqs)
+    g = np.array([config.g_site1, config.g_site2])
+    displaced, elements = _transformed(config, 1, _vacuum_state(np.eye(2), db))
+    coherent = np.zeros_like(displaced)
+    for p in range(2):
+        coherent[p, p * db:(p + 1) * db] = _coherent_vacuum(config, -np.conj(g[p]) / w)
 
-    tail = float(sum(_coherent_tail(wk, config.n_max) for wk in config.alpha_weights()))
+    tail = _coherent_tail(config.alpha_weights(), config.n_max)
     suggested = config.n_max
-    while tail > TAIL_THRESHOLD and suggested < 60:
+    while suggested < 60 and _coherent_tail(config.alpha_weights(), suggested) > TAIL_THRESHOLD:
         suggested += 2
-        tail_try = sum(_coherent_tail(wk, suggested) for wk in config.alpha_weights())
-        if tail_try <= TAIL_THRESHOLD:
-            break
 
     two_shift = two_expected = None
     if include_two_particle:
-        ham2 = build_hamiltonian(config, particles=2)
-        gen2 = lang_firsov_generator(config, particles=2)
-        u2 = unitary_from_generator(gen2)
-        transformed2 = u2 @ ham2 @ u2.conj().T
-        two_shift = float(transformed2[0, 0].real)
-        g1 = np.array(config.g_site1)
-        g2 = np.array(config.g_site2)
-        w = np.array(config.mode_freqs)
+        two_shift = float(_transformed(config, 2, np.eye(1, db))[1][0, 0].real)
         two_expected = float(
             2.0 * config.epsilon_onsite
-            - np.sum((np.abs(g1) ** 2 + np.abs(g2) ** 2) / w)
+            - np.sum(np.abs(g) ** 2 / w)
             - config.induced_interaction()
         )
 
     return LangFirsovReport(
-        spectrum_max_dev=spectrum_dev,
-        hop_measured=hop_measured,
-        hop_expected=hop_expected,
+        displaced_vacuum_dev=float(np.max(np.abs(displaced - coherent))),
+        hop_measured=float(abs(elements[0, 1])),  # <site1, vac| H' |site2, vac>
+        hop_phase=float(np.angle(elements[0, 1])),
+        hop_expected=abs(config.j_tilde()),
         truncation_tail=tail,
         suggested_n_max=suggested,
         conclusive=tail <= TAIL_THRESHOLD,
@@ -633,10 +661,11 @@ def run_bangbang(config: TruncatedBathConfig, rho0: DensityMatrixST,
     radius * dt terms), where an eigendecomposition would cost one fixed
     dim^3; at the CLI default T = 4 the series is the faster of the two.
     Results come sorted by delta_t.
-    With at least three schedules of a common total time, a log-log fit of
-    the pulsed distance against delta_t estimates the scaling exponent
-    (2 for a purely second-order per-cycle error accumulated over T/(2 dt)
-    cycles).
+    With at least three schedules of a common total time whose pulsed
+    distance is at least 1e-12, a log-log fit of those distances against
+    delta_t estimates the scaling exponent (2 for a purely second-order
+    per-cycle error accumulated over T/(2 dt) cycles); otherwise
+    fitted_slope is None.
     """
     if isinstance(schedules, PulseSchedule):
         schedules = [schedules]
@@ -679,11 +708,12 @@ def run_bangbang(config: TruncatedBathConfig, rho0: DensityMatrixST,
     results.sort(key=lambda r: r.delta_t)
 
     slope = None
-    positive = [r for r in results if r.distance_pulsed > 0.0]
-    if len(positive) >= 3:
+    # distances below 1e-12 are rounding, which has no scaling to fit
+    above_noise = [r for r in results if r.distance_pulsed >= 1e-12]
+    if len(above_noise) >= 3:
         slope = float(np.polyfit(
-            np.log([r.delta_t for r in positive]),
-            np.log([r.distance_pulsed for r in positive]), 1,
+            np.log([r.delta_t for r in above_noise]),
+            np.log([r.distance_pulsed for r in above_noise]), 1,
         )[0])
     return BangBangReport(config=config, total_time=total_time,
                           results=tuple(results), fitted_slope=slope)
@@ -743,12 +773,17 @@ class MasterEquationComparison:
 
 def compare_with_master_equation(config: TruncatedBathConfig, rho0: DensityMatrixST,
                                  grid: TimeGrid) -> MasterEquationComparison:
-    """Exact trajectory against the rate-equation one, apples to apples.
+    """Exact trajectory against the rate-equation one on the same modes.
 
     The master-equation side is driven by the discrete-mode kernels of the
-    very same configuration (mode sum instead of continuum integral), so the
-    residual is Markovian/weak-dressing error rather than discretization
-    error.
+    very same configuration (mode sum instead of continuum integral), so
+    discretization is not in the residual. Neither is mainly the
+    Markovian/weak-dressing approximation: two other effects dominate it.
+    The exact run starts in the bare bath vacuum and is reported in the lab
+    frame, where the rate equation assumes a factorized state in the
+    polaron frame; and for couplings with g_2k != -g_1k the dressed hopping
+    carries a phase (LangFirsovReport.hop_phase, 0.062 rad at the
+    oracle-compare default) that the rate equation does not have.
     """
     exact = exact_decoherence_reference(config, rho0, grid)
     kernels = kernel_table_from_modes(config.mode_freqs, config.alpha_weights(), grid)

@@ -2,8 +2,10 @@
 
 Each mode's annihilator is a Kronecker chain of identities around one
 (n_max + 1)-level ladder matrix, and each b^dag b is a dense matrix product.
-oracle.build_hamiltonian and oracle.lang_firsov_generator fill the same
-matrices from an occupation table; the tests hold the two routes to round-off.
+oracle.build_hamiltonian and oracle.lang_firsov_generator write the same
+operators as bands from an occupation table; the tests hold toarray() of
+those bands to these matrices to round-off, and the dense references of
+tests/oracle_reference.py take their H and S from here.
 """
 
 import math
@@ -33,7 +35,7 @@ def mode_annihilators(config):
 
 
 def kron_hamiltonian(config, particles: int = 1) -> np.ndarray:
-    """H in one fermion-number block (0, 1 or 2 particles)."""
+    """H in one fermion-number block (1 or 2 particles)."""
     b_ops = mode_annihilators(config)
     hb = sum(w * (b.conj().T @ b) for w, b in zip(config.mode_freqs, b_ops))
     db = config.bath_dim
@@ -43,8 +45,6 @@ def kron_hamiltonian(config, particles: int = 1) -> np.ndarray:
         for g, b in zip(gs, b_ops):
             op += g * b + np.conj(g) * b.conj().T
         couple.append(op)
-    if particles == 0:
-        return hb
     if particles == 2:
         return (2.0 * config.epsilon_onsite) * np.eye(db) + hb + couple[0] + couple[1]
     h_sys = np.array([[config.epsilon_onsite, config.j_hop],

@@ -1,12 +1,16 @@
-"""Reference oracle routes in their plain, one-at-a-time form, on the
-eigendecomposition of the lab-basis H instead of a Chebyshev series.
+"""Reference oracle routes in their plain, one-at-a-time form, on dense
+matrices from tests/kron_reference.py instead of the bands and Chebyshev
+series of polaron_deco.oracle.
 
 oracle.run_bangbang advances every pulse schedule in lockstep by Chebyshev
-series; serial_bangbang runs one schedule after another on eigen-
-coefficients. oracle.exact_decoherence_reference sums a Chebyshev series
-per slice of oracle.CHUNK points; one_block_rho applies the
-eigendecomposition to the whole time grid as one amplitude block. The tests
-hold the production routes to them.
+series; serial_bangbang runs one schedule after another on the eigen-
+coefficients of the Kronecker-built H. oracle.exact_decoherence_reference
+sums a Chebyshev series per slice of oracle.CHUNK points; one_block_rho
+applies the eigendecomposition to the whole time grid as one amplitude
+block. oracle.lang_firsov_check applies exp(-S) to vacuum states by a
+series; dense_lang_firsov transforms the whole Kronecker-built H by the
+unitary exp(S). The tests hold the production routes to them, which share
+neither the band builder nor the series.
 """
 
 import numpy as np
@@ -19,9 +23,9 @@ from polaron_deco.oracle import (
     _require_hermitian,
     _site_swap,
     _vacuum_state,
-    build_hamiltonian,
     trace_distance,
 )
+from kron_reference import kron_generator, kron_hamiltonian
 
 
 class Propagator:
@@ -61,7 +65,7 @@ def serial_bangbang(config, rho0, schedules):
     """BangBangResult rows of run_bangbang, sorted by delta_t, with each
     schedule run from the initial coefficients on its own."""
     total_time = schedules[0].total_time
-    prop = Propagator(build_hamiltonian(config))
+    prop = Propagator(kron_hamiltonian(config))
     branches = _initial_site_branches(rho0)
     psi0 = _vacuum_state([vec for _, vec in branches], config.bath_dim)
     undo = _ideal_rotation(config, total_time)
@@ -92,7 +96,7 @@ def one_block_rho(config, rho0, grid):
     """The [T, S] matrices exact_decoherence_reference reports, with every
     branch propagated by the eigendecomposition of H over the whole grid as
     one T x dim block."""
-    prop = Propagator(build_hamiltonian(config))
+    prop = Propagator(kron_hamiltonian(config))
     t = grid.points
     rho_t = np.zeros((len(t), 2, 2), dtype=complex)
     for p, vec in _initial_site_branches(rho0):
@@ -102,3 +106,20 @@ def one_block_rho(config, rho0, grid):
     rho_t = d[:, :, None] * rho_t * d.conj()[:, None, :]
     rho_t[0] = rho0.matrix()
     return rho_t
+
+
+def unitary_from_generator(s_matrix: np.ndarray) -> np.ndarray:
+    """exp(S) for anti-Hermitian S, from one eigh of the Hermitian iS = V E V^dag:
+    exp(S) = V exp(-i E) V^dag."""
+    energies, vectors = np.linalg.eigh(1j * s_matrix)
+    return (vectors * np.exp(-1j * energies)) @ vectors.conj().T
+
+
+def dense_lang_firsov(config):
+    """<1, vac| exp(S) H exp(-S) |2, vac> and the two-particle vacuum energy
+    <vac| exp(S) H_2 exp(-S) |vac>, from the whole transformed matrices."""
+    u = unitary_from_generator(kron_generator(config))
+    hop = (u @ kron_hamiltonian(config) @ u.conj().T)[0, config.bath_dim]
+    u2 = unitary_from_generator(kron_generator(config, particles=2))
+    shift = (u2 @ kron_hamiltonian(config, particles=2) @ u2.conj().T)[0, 0].real
+    return complex(hop), float(shift)

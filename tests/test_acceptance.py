@@ -123,11 +123,11 @@ def test_criterion_07_state_legality(acceptance_trajectories):
 
 
 def test_criterion_08_displacement_transform_verified():
-    with criterion(8, "spectrum invariance and dressed hopping element"):
+    with criterion(8, "displaced vacuum and dressed hopping element"):
         cfg = pd.TruncatedBathConfig(mode_freqs=(1.0,), g_site1=(0.5,),
                                      g_site2=(0.0,), n_max=12, j_hop=1.0)
         report = pd.lang_firsov_check(cfg)
-        assert report.spectrum_max_dev <= 1e-8
+        assert report.displaced_vacuum_dev <= 1e-8
         assert abs(report.hop_measured - np.exp(-0.125)) <= 1e-4
         assert report.conclusive
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import gammainc
 
 import polaron_deco as pd
 from polaron_deco import oracle
@@ -20,6 +21,7 @@ from polaron_deco.dynamics import trajectory_from_matrices
 from polaron_deco.oracle import (
     CHUNK,
     _ST_FROM_SITE,
+    BandedOperator,
     _site_swap,
     _vacuum_state,
     lang_firsov_generator,
@@ -27,7 +29,7 @@ from polaron_deco.oracle import (
 )
 from conftest import fig2_state
 from kron_reference import kron_generator, kron_hamiltonian
-from oracle_reference import Propagator, one_block_rho, serial_bangbang
+from oracle_reference import Propagator, dense_lang_firsov, one_block_rho, serial_bangbang
 
 
 def single_mode(alpha=0.5, n_max=12, j_hop=1.0, eps=0.0, omega=1.0):
@@ -52,6 +54,22 @@ KRON_CONFIGS = {
         j_hop=0.5, epsilon_onsite=0.25),
     "ohmic-3x7": lambda: ohmic_mode_config(n_modes=3, n_max=7, coupling=0.1),
     "ohmic-4x4": lambda: ohmic_mode_config(n_modes=4, n_max=4),
+}
+
+
+# configs for the displacement check: one and several modes, real and
+# complex couplings, g_2k = -g_1k (s = pi) and not, tails from 1e-18 to 4e-3
+LANG_FIRSOV_CONFIGS = {
+    "single-n_max-12": lambda: single_mode(alpha=0.5, n_max=12),
+    "two-modes-real": lambda: TruncatedBathConfig(
+        mode_freqs=(1.0, 2.0), g_site1=(0.3, 0.1), g_site2=(0.2, 0.05), n_max=8,
+        j_hop=1.0, epsilon_onsite=0.25),
+    "complex-asymmetric": lambda: TruncatedBathConfig(
+        mode_freqs=(0.9, 2.3), g_site1=(0.3 + 0.1j, 0.05), g_site2=(0.2, 0.1 - 0.2j),
+        n_max=5, j_hop=0.7, epsilon_onsite=0.1),
+    "ohmic-s-pi": lambda: ohmic_mode_config(),
+    "ohmic-compare": lambda: ohmic_mode_config(coupling=0.1, s=1.0, j_hop=0.1, n_max=5),
+    "ohmic-3x3": lambda: ohmic_mode_config(n_modes=3, n_max=3, coupling=0.5, s=1.3),
 }
 
 
@@ -101,11 +119,21 @@ class TestConfig:
         assert cfg.g_site2[1] == pytest.approx(cfg.g_site1[1] * np.exp(-3.0j))
 
 
+def assert_bands_match(op, ref):
+    """op's bands are the diagonals of the dense ref that have a nonzero
+    entry, plus the main diagonal, in ascending order, and toarray() is ref."""
+    n = len(ref)
+    nonzero = np.flatnonzero(ref)
+    assert op.shape == ref.shape
+    assert list(op.bands) == sorted({0, *(nonzero % n - nonzero // n).tolist()})
+    assert np.max(np.abs(op.toarray() - ref)) <= 1e-13
+
+
 class TestHamiltonian:
     def test_decoupled_spectrum(self):
         cfg = TruncatedBathConfig(mode_freqs=(1.0,), g_site1=(0.0,), g_site2=(0.0,),
                                   n_max=3, j_hop=0.3, epsilon_onsite=0.7)
-        ham = pd.build_hamiltonian(cfg)
+        ham = pd.build_hamiltonian(cfg).toarray()
         got = np.sort(np.linalg.eigvalsh(ham))
         expected = np.sort([0.7 + sgn * 0.3 + m for sgn in (1, -1) for m in range(4)])
         assert np.max(np.abs(got - expected)) < 1e-12
@@ -115,47 +143,59 @@ class TestHamiltonian:
                                   n_max=0, j_hop=0.4, epsilon_onsite=0.2)
         ham = pd.build_hamiltonian(cfg)
         assert ham.shape == (2, 2)
-        # a single Fock level truncates the coupling to zero, leaving the bare qubit
-        assert np.allclose(ham, [[0.2, 0.4], [0.4, 0.2]], atol=1e-15)
+        # a single Fock level truncates the coupling to zero, leaving the bare
+        # qubit: the coupling bands are all zero and left out
+        assert list(ham.bands) == [-1, 0, 1]
+        assert np.allclose(ham.toarray(), [[0.2, 0.4], [0.4, 0.2]], atol=1e-15)
 
     def test_hermiticity(self):
         cfg = TruncatedBathConfig(mode_freqs=(0.9, 2.3), g_site1=(0.3 + 0.1j, 0.05),
                                   g_site2=(0.2, 0.1 - 0.2j), n_max=3, j_hop=0.7,
                                   epsilon_onsite=0.1)
         ham = pd.build_hamiltonian(cfg)
-        assert np.max(np.abs(ham - ham.conj().T)) < 1e-12
+        # mirror bands are conjugates exactly, and the main diagonal is real
+        for o, d in ham.bands.items():
+            assert np.array_equal(ham.bands[-o], np.conj(d))
 
     def test_two_particle_block(self):
         cfg = single_mode(alpha=0.5, n_max=6, eps=0.3)
         ham2 = pd.build_hamiltonian(cfg, particles=2)
         assert ham2.shape == (7, 7)
-        assert ham2[0, 0] == pytest.approx(0.6)  # 2*eps + vacuum
+        assert ham2.bands[0][0] == pytest.approx(0.6)  # 2*eps + vacuum
 
     def test_invalid_sector(self):
-        with pytest.raises(ConfigError):
-            pd.build_hamiltonian(single_mode(), particles=3)
+        # particles=0 (the bare bath block) has no caller and is refused too
+        for particles in (0, 3):
+            with pytest.raises(ConfigError, match="particles"):
+                pd.build_hamiltonian(single_mode(), particles=particles)
 
     def test_generator_invalid_sector(self):
         with pytest.raises(ConfigError, match="particles"):
             lang_firsov_generator(single_mode(), particles=0)
 
-    @pytest.mark.parametrize("particles", [0, 1, 2])
+    @pytest.mark.parametrize("particles", [1, 2])
     @pytest.mark.parametrize("name", list(KRON_CONFIGS))
     def test_matches_kron_reference(self, name, particles):
         cfg = KRON_CONFIGS[name]()
-        ham = pd.build_hamiltonian(cfg, particles)
-        ref = kron_hamiltonian(cfg, particles)
-        assert ham.shape == ref.shape
-        assert np.max(np.abs(ham - ref)) <= 1e-13
+        assert_bands_match(pd.build_hamiltonian(cfg, particles),
+                           kron_hamiltonian(cfg, particles))
 
     @pytest.mark.parametrize("particles", [1, 2])
     @pytest.mark.parametrize("name", list(KRON_CONFIGS))
     def test_generator_matches_kron_reference(self, name, particles):
         cfg = KRON_CONFIGS[name]()
-        gen = lang_firsov_generator(cfg, particles)
-        ref = kron_generator(cfg, particles)
-        assert gen.shape == ref.shape
-        assert np.max(np.abs(gen - ref)) <= 1e-13
+        assert_bands_match(lang_firsov_generator(cfg, particles),
+                           kron_generator(cfg, particles))
+
+
+def poisson_tail_bound(cfg):
+    """sqrt of the larger site's Poisson weight beyond n_max, summed over
+    modes, for the displacements beta_pk = -g_pk^* / omega_k; gammainc sums
+    the omitted terms, where 1 - the kept ones rounds to 0 at n_max 12."""
+    w = np.array(cfg.mode_freqs)
+    tails = [np.sum(gammainc(cfg.n_max + 1, np.abs(np.array(g) / w) ** 2))
+             for g in (cfg.g_site1, cfg.g_site2)]
+    return math.sqrt(float(max(tails)))
 
 
 class TestLangFirsov:
@@ -163,14 +203,15 @@ class TestLangFirsov:
         cfg = TruncatedBathConfig(mode_freqs=(1.0,), g_site1=(0.0,), g_site2=(0.0,),
                                   n_max=4, j_hop=0.8)
         report = pd.lang_firsov_check(cfg)
-        assert report.spectrum_max_dev < 1e-12
+        assert report.displaced_vacuum_dev == 0.0
         assert report.hop_measured == pytest.approx(0.8, abs=1e-12)
+        assert report.hop_phase == 0.0
         assert report.truncation_tail == 0.0
         assert report.conclusive
 
     def test_single_mode_dressed_hopping(self):
         report = pd.lang_firsov_check(single_mode(alpha=0.5, n_max=12))
-        assert report.spectrum_max_dev < 1e-8
+        assert report.displaced_vacuum_dev < 1e-8
         assert report.hop_expected == pytest.approx(np.exp(-0.125), rel=1e-12)
         assert report.hop_error < 1e-4
         assert report.conclusive
@@ -216,6 +257,46 @@ class TestLangFirsov:
         implied = -2.0 * np.log(report.hop_measured / cfg.j_hop)
         assert implied == pytest.approx(float(cfg.alpha_weights().sum()), abs=1e-6)
 
+    @pytest.mark.parametrize("name", list(LANG_FIRSOV_CONFIGS))
+    def test_matches_dense_transform(self, name):
+        # the series on vectors against exp(S) H exp(-S) as whole matrices,
+        # both built from Kronecker products
+        cfg = LANG_FIRSOV_CONFIGS[name]()
+        report = pd.lang_firsov_check(cfg)
+        hop, shift = dense_lang_firsov(cfg)
+        assert abs(report.hop_measured - abs(hop)) <= 1e-14
+        assert abs(report.two_particle_shift - shift) <= 1e-14
+        assert abs(report.hop_phase - np.angle(hop)) <= 1e-12
+
+    def test_hop_phase(self):
+        # at s = pi, g_2k = -g_1k for both modes and the dressed hopping is real
+        assert abs(pd.lang_firsov_check(ohmic_mode_config()).hop_phase) <= 1e-12
+        # the oracle-compare default: a phase the rate equation does not have
+        report = pd.lang_firsov_check(
+            ohmic_mode_config(coupling=0.1, s=1.0, j_hop=0.1, n_max=5))
+        assert report.hop_phase == pytest.approx(0.0619, abs=5e-5)
+
+    @pytest.mark.parametrize("name", list(LANG_FIRSOV_CONFIGS))
+    def test_displaced_vacuum_within_poisson_tail(self, name):
+        # the series state and the exact coherent-state product differ by the
+        # truncation, whose norm is at most the square root of the omitted
+        # Poisson weight
+        cfg = LANG_FIRSOV_CONFIGS[name]()
+        dev = pd.lang_firsov_check(cfg, include_two_particle=False).displaced_vacuum_dev
+        assert 0.0 < dev <= poisson_tail_bound(cfg)
+
+    def test_no_dense_decomposition(self, monkeypatch):
+        # dim 1250: vectors and bands only, no eigendecomposition
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense decomposition called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        cfg = ohmic_mode_config(4, 4, s=1.0)
+        report = pd.lang_firsov_check(cfg)
+        assert 0.0 < report.displaced_vacuum_dev <= poisson_tail_bound(cfg)
+        assert np.isfinite(report.two_particle_shift)
+
 
 class TestExactEvolution:
     def test_zero_time_is_identity(self):
@@ -227,7 +308,7 @@ class TestExactEvolution:
     def test_eigenstate_only_rotates(self):
         cfg = single_mode(n_max=3)
         ham = pd.build_hamiltonian(cfg)
-        w, v = np.linalg.eigh(ham)
+        w, v = np.linalg.eigh(ham.toarray())
         psi = v[:, 0]
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
         out = oracle.ChebyshevPropagator(ham).evolve(psi, 0.7)
@@ -285,22 +366,29 @@ class TestChebyshev:
             assert np.max(np.abs(traj.rho_ss - 2.0 / 3.0)) <= 1e-15
 
     @pytest.mark.parametrize("ham", [
-        np.array([[0.0, 1.0], [0.0, 0.0]]),  # no mirror diagonal
-        np.array([[0.0, 1.0], [2.0, 0.0]]),
-        np.array([[1.0j, 0.0], [0.0, 1.0]]),  # complex main diagonal
-        np.arange(16.0).reshape(4, 4) + 1j,
+        BandedOperator({1: np.array([1.0])}, 2),  # no mirror diagonal
+        BandedOperator({1: np.array([1.0]), -1: np.array([2.0])}, 2),
+        BandedOperator({0: np.array([1.0j, 1.0])}, 2),  # complex main diagonal
+        BandedOperator({o: np.diagonal(np.arange(16.0).reshape(4, 4) + 1j, o)
+                        for o in range(-3, 4)}, 4),
     ])
     def test_rejects_non_hermitian(self, ham):
         with pytest.raises(ConfigError, match="Hermitian"):
             oracle.ChebyshevPropagator(ham)
 
-    @pytest.mark.parametrize("index", [(1, 1), (0, 2)])
+    # (offset, row): the entries [1, 1] (main diagonal) and [0, 2] (a
+    # diagonal the Hamiltonian does not have)
+    @pytest.mark.parametrize("index", [(0, 1), (2, 0)])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite(self, value, index):
         ham = pd.build_hamiltonian(single_mode(n_max=2))
-        ham[index] = value
+        offset, row = index
+        band = ham.bands.get(offset, np.zeros(ham.shape[0] - abs(offset), dtype=complex))
+        band = band.copy()
+        band[row] = value
         with pytest.raises(ConfigError, match="finite Hermitian"):
-            oracle.ChebyshevPropagator(ham)
+            oracle.ChebyshevPropagator(BandedOperator({**ham.bands, offset: band},
+                                                      ham.shape[0]))
 
     @pytest.mark.parametrize("x", [0.0, 1e-3, 0.3, 5.0, 31.7, oracle.SPAN_CAP, 1064.7])
     def test_coefficients_match_bessel(self, x):
@@ -336,29 +424,27 @@ class TestChebyshev:
     @pytest.mark.parametrize("name", ["real-s-2", "lab-asymmetric"])
     def test_series_matches_propagator(self, name):
         cfg = LOCKSTEP_CONFIGS[name]()
-        ham = pd.build_hamiltonian(cfg)
         psi = _vacuum_state([[0.6, 0.8j], [1.0, 0.0]], cfg.bath_dim)
         t = TimeGrid(40.0, 0.1).points
-        slices = list(oracle.ChebyshevPropagator(ham).series(psi, t))
+        slices = list(oracle.ChebyshevPropagator(pd.build_hamiltonian(cfg)).series(psi, t))
         assert np.array_equal(np.concatenate([ts for ts, _ in slices]), t)
         assert len({len(ts) for ts, _ in slices}) <= 2  # equal up to one point
         states = np.concatenate([s for _, s in slices])
         assert states.shape == (len(t), 2, cfg.dim)
-        assert np.max(np.abs(states - Propagator(ham).evolve(psi, t))) <= 1e-12
+        assert np.max(np.abs(states - Propagator(kron_hamiltonian(cfg)).evolve(psi, t))) <= 1e-12
 
     @pytest.mark.parametrize("name", ["real-s-2", "lab-asymmetric"])
     def test_evolve_rows_matches_propagator(self, name):
         # each row by its own tau, one of them longer than SPAN_CAP / radius
         cfg = LOCKSTEP_CONFIGS[name]()
-        ham = pd.build_hamiltonian(cfg)
-        cheb = oracle.ChebyshevPropagator(ham)
+        cheb = oracle.ChebyshevPropagator(pd.build_hamiltonian(cfg))
         psi = _vacuum_state([[0.6, 0.8j], [1.0, 0.0], [0.0, 1.0]], cfg.bath_dim)
         tau = np.array([0.3, 0.0, 2.0 * oracle.SPAN_CAP / cheb.radius])
         coef = cheb.coefficients(tau)
         assert coef.shape == (3, oracle._series_length(cheb.radius * tau[2]))
         assert coef.shape[1] > CHUNK
         out = cheb.evolve_rows(psi, coef)
-        ref = Propagator(ham)
+        ref = Propagator(kron_hamiltonian(cfg))
         for row, t in enumerate(tau):
             assert np.max(np.abs(out[row] - ref.evolve(psi[row], t))) <= 1e-12
 
@@ -393,9 +479,9 @@ class TestPulse:
         decoupled = TruncatedBathConfig(
             mode_freqs=cfg.mode_freqs, g_site1=(0.0, 0.0), g_site2=(0.0, 0.0),
             n_max=cfg.n_max, j_hop=cfg.j_hop, epsilon_onsite=0.3)
-        h0 = pd.build_hamiltonian(decoupled)  # eps(n1+n2) + J swap + bath
+        h0 = pd.build_hamiltonian(decoupled).toarray()  # eps(n1+n2) + J swap + bath
         assert np.max(np.abs(swap @ h0 - h0 @ swap)) < 1e-12
-        ham = pd.build_hamiltonian(cfg)
+        ham = pd.build_hamiltonian(cfg).toarray()
         assert np.max(np.abs(swap @ ham - ham @ swap)) > 1e-3  # couplings differ
 
 
@@ -462,7 +548,7 @@ class TestBangBang:
         cfg = ohmic_mode_config(n_modes=2, n_max=3, s=2.0)  # dim 32
         rho0 = DensityMatrixST(rho_ss=0.6, rho_tt=0.4, rho_st=0.1 + 0.05j)
         total = 2.0
-        ham = pd.build_hamiltonian(cfg)
+        ham = kron_hamiltonian(cfg)
         db = cfg.bath_dim
         swap = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(db))
         vacuum = np.zeros((db, db))
@@ -486,6 +572,18 @@ class TestBangBang:
         # the reference tells the two orders apart on this configuration
         assert abs(distance(reversed_order) - distance(pulsed)) > 5e-3
 
+    def test_slope_ignores_rounding(self, tmp_path):
+        # one mode at omega * s = 2 pi, so g_2 = g_1 and nothing decoheres:
+        # every distance is rounding, with no scaling to fit
+        cfg = ohmic_mode_config(n_modes=1, n_max=12, coupling=0.7)
+        report = pd.run_bangbang(cfg, fig2_state(),
+                                 [PulseSchedule(4.0, n) for n in (4, 8, 16, 32, 64)])
+        assert max(r.distance_pulsed for r in report.results) < 1e-12
+        assert report.fitted_slope is None
+        report.to_csv(tmp_path / "bb.csv")
+        rows = (tmp_path / "bb.csv").read_text().splitlines()[2:]
+        assert len(rows) == 5 and all(row.endswith(",nan") for row in rows)
+
     def test_mismatched_total_times_rejected(self):
         cfg = ohmic_mode_config(n_max=2)
         with pytest.raises(ConfigError):
@@ -507,9 +605,8 @@ class TestBangBang:
 
 
 # configs for the lockstep and chunking checks: "real-*" have |g_1k| = |g_2k|
-# (ohmic_mode_config), where H is real symmetric in a gauged basis (Dyson,
-# J. Math. Phys. 3, 1199 (1962)); "lab-*" have |g_1k| != |g_2k|. The oracle
-# propagates both in the lab basis.
+# (ohmic_mode_config), "lab-*" have |g_1k| != |g_2k|; the oracle propagates
+# both alike, in the lab basis.
 LOCKSTEP_CONFIGS = {
     "real-s-2": lambda: ohmic_mode_config(n_modes=2, n_max=3, s=2.0),  # dim 32
     "real-3x2": lambda: ohmic_mode_config(n_modes=3, n_max=2, coupling=0.5, s=1.3),
@@ -723,8 +820,8 @@ class TestChunkedReduction:
         assert peak < series / 2
 
 
-# configs with |g_1k| = |g_2k|, where H is real symmetric in a gauged basis;
-# the oracle runs them, like every config, in the lab basis
+# configs with |g_1k| = |g_2k|, which the oracle runs, like every config, in
+# the lab basis
 FRAME_CONFIGS = {
     "ohmic-s-pi": lambda: ohmic_mode_config(n_modes=2, n_max=3),
     "ohmic-s-2": lambda: ohmic_mode_config(n_modes=2, n_max=3, s=2.0, epsilon_onsite=0.3),
@@ -746,14 +843,15 @@ FRAME_STATES = {
 
 
 class _ComplexReference:
-    """Independent route: complex eigh of the lab-frame H, the full density
-    matrix rho_site (x) |vac><vac| propagated by dense unitaries, a partial
-    trace and the ideal rotation undone with a 2x2 matrix exponential."""
+    """Independent route: complex eigh of the Kronecker-built lab-frame H, the
+    full density matrix rho_site (x) |vac><vac| propagated by dense
+    unitaries, a partial trace and the ideal rotation undone with a 2x2
+    matrix exponential."""
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.db = cfg.bath_dim
-        self.energies, self.vectors = np.linalg.eigh(pd.build_hamiltonian(cfg))
+        self.energies, self.vectors = np.linalg.eigh(kron_hamiltonian(cfg))
         self.swap = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(self.db))
 
     def unitary(self, t):
@@ -850,15 +948,16 @@ class TestRealFrame:
         cfg = TruncatedBathConfig(mode_freqs=(1.0, 1.6), g_site1=(0.5, 0.2),
                                   g_site2=(0.1, -0.3), n_max=3, j_hop=0.4)
         ham = pd.build_hamiltonian(cfg)
-        assert not np.any(ham.imag)
+        assert not any(np.any(d.imag) for d in ham.bands.values())
         rng = np.random.default_rng(3)
         psi = rng.normal(size=(2, cfg.dim)) + 1j * rng.normal(size=(2, cfg.dim))
         t = np.array([0.0, 0.3, 1.7])
-        real = oracle.ChebyshevPropagator(ham.real).evolve(psi, t)
+        real = oracle.ChebyshevPropagator(BandedOperator(
+            {o: d.real for o, d in ham.bands.items()}, cfg.dim)).evolve(psi, t)
         cplx = oracle.ChebyshevPropagator(ham).evolve(psi, t)
         assert real.shape == cplx.shape == (3, 2, cfg.dim)
         assert np.max(np.abs(real - cplx)) <= 1e-12
-        assert np.max(np.abs(real - Propagator(ham).evolve(psi, t))) <= 1e-12
+        assert np.max(np.abs(real - Propagator(kron_hamiltonian(cfg)).evolve(psi, t))) <= 1e-12
 
 
 class TestDiagonalInitialState:
