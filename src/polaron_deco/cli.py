@@ -9,9 +9,12 @@ run writes the fully resolved configuration next to its outputs, and
 re-running from that echo reproduces the outputs byte for byte.
 
 Verbs: single, sweep-s, sweep-lambda, effective-hopping, bangbang,
-oracle-compare, selftest. Exit codes: 0 ok, 2 configuration error,
-3 numerical failure, 4 invariant violation; every failure also writes a
-JSON error record to stderr.
+oracle-compare, selftest. Each experiment verb returns its output tables
+and does no I/O; ``run_experiment`` is the one place that writes files:
+the config echo, then ``stem.csv`` for every table and, with ``svg`` set,
+``stem.svg`` beside it. ``selftest`` takes no flags. Exit codes: 0 ok,
+2 configuration error, 3 numerical failure, 4 invariant violation; every
+failure also writes a JSON error record to stderr.
 """
 
 from __future__ import annotations
@@ -222,125 +225,75 @@ def _trajectory_for(config):
 
 
 def _run_single(config):
-    traj = _trajectory_for(config)
-    path = os.path.join(config.out_dir, "trajectory.csv")
-    traj.to_csv(path)
-    written = [path]
-    if config.svg:
-        svg = os.path.join(config.out_dir, "trajectory.svg")
-        write_svg(svg, traj.grid.points,
-                  {"C": traj.coherence, "P_D": traj.pop_diff,
-                   "rho_TT": traj.rho_tt, "rho_SS": traj.rho_ss},
-                  title="single run", x_label="t", y_label="value")
-        written.append(svg)
-    return written
+    return [("trajectory", *_trajectory_for(config).table(),
+             ({"C": "C", "P_D": "P_D", "rho_TT": "rho_tt", "rho_SS": "rho_ss"},
+              dict(title="single run", x_label="t", y_label="value")))]
 
 
 def _run_sweep(config, key, values, label):
     trajs = [_trajectory_for(replace(config, **{key: v})) for v in values]
-    grid = config.grid()
+    t = config.grid().points
     tags = [f"{label}={format_number(v)}" for v in values]
-    path_a = os.path.join(config.out_dir, "fig2a.csv")
-    write_csv(path_a, ["t"] + [f"C_{tag}" for tag in tags],
-              [grid.points] + [t.coherence for t in trajs])
-    path_b = os.path.join(config.out_dir, "fig2bcd.csv")
-    header = ["t"]
-    cols = [grid.points]
+    header_b, cols_b = ["t"], [t]
     for tag, traj in zip(tags, trajs):
-        header += [f"PD_{tag}", f"rho_tt_{tag}", f"rho_ss_{tag}"]
-        cols += [traj.pop_diff, traj.rho_tt, traj.rho_ss]
-    write_csv(path_b, header, cols)
-    written = [path_a, path_b]
-    if config.svg:
-        svg_a = os.path.join(config.out_dir, "fig2a.svg")
-        write_svg(svg_a, grid.points,
-                  {tag: t.coherence for tag, t in zip(tags, trajs)},
-                  title="coherence decay", x_label="t", y_label="C(t)")
-        svg_b = os.path.join(config.out_dir, "fig2bcd.svg")
-        write_svg(svg_b, grid.points,
-                  {f"PD_{tag}": t.pop_diff for tag, t in zip(tags, trajs)},
-                  title="population difference", x_label="t", y_label="P_D(t)")
-        written += [svg_a, svg_b]
-    return written
+        header_b += [f"PD_{tag}", f"rho_tt_{tag}", f"rho_ss_{tag}"]
+        cols_b += [traj.pop_diff, traj.rho_tt, traj.rho_ss]
+    return [
+        ("fig2a", ["t"] + [f"C_{tag}" for tag in tags], [t] + [tr.coherence for tr in trajs],
+         (), ({tag: f"C_{tag}" for tag in tags},
+              dict(title="coherence decay", x_label="t", y_label="C(t)"))),
+        ("fig2bcd", header_b, cols_b, (),
+         ({f"PD_{tag}": f"PD_{tag}" for tag in tags},
+          dict(title="population difference", x_label="t", y_label="P_D(t)"))),
+    ]
 
 
 def _run_effective_hopping(config):
     # bath.effective_hopping_ratio, exp(-K_c(0)/2), along a whole axis at once
     lam_grid = np.linspace(0.0, 2.0, 81)
-    path_a = os.path.join(config.out_dir, "fig1a.csv")
-    cols_a = [lam_grid]
-    header_a = ["lambda_g"]
-    for s in config.s_values:
-        header_a.append(f"ratio_s={format_number(s)}")
-        cols_a.append(np.exp(-0.5 * bath.kernel_zero(lam_grid, s)))
-    write_csv(path_a, header_a, cols_a)
-
     s_grid = np.logspace(-1.0, 2.0, 61)
-    path_b = os.path.join(config.out_dir, "fig1b.csv")
-    cols_b = [s_grid]
-    header_b = ["s"]
-    for lam in config.lambda_values:
-        header_b.append(f"ratio_lambda={format_number(lam)}")
-        cols_b.append(np.exp(-0.5 * bath.kernel_zero(lam, s_grid)))
-    write_csv(path_b, header_b, cols_b)
-    written = [path_a, path_b]
-    if config.svg:
-        svg_a = os.path.join(config.out_dir, "fig1a.svg")
-        write_svg(svg_a, lam_grid, dict(zip(header_a[1:], cols_a[1:])),
-                  title="dressed hopping vs coupling", x_label="lambda_g",
-                  y_label="Jt/J")
-        svg_b = os.path.join(config.out_dir, "fig1b.svg")
-        write_svg(svg_b, s_grid, dict(zip(header_b[1:], cols_b[1:])),
-                  title="dressed hopping vs scattering scale", x_label="s",
-                  y_label="Jt/J", log_x=True)
-        written += [svg_a, svg_b]
-    return written
+    tags_a = [f"ratio_s={format_number(s)}" for s in config.s_values]
+    tags_b = [f"ratio_lambda={format_number(lam)}" for lam in config.lambda_values]
+    return [
+        ("fig1a", ["lambda_g"] + tags_a,
+         [lam_grid] + [np.exp(-0.5 * bath.kernel_zero(lam_grid, s)) for s in config.s_values],
+         (), ({tag: tag for tag in tags_a},
+              dict(title="dressed hopping vs coupling", x_label="lambda_g", y_label="Jt/J"))),
+        ("fig1b", ["s"] + tags_b,
+         [s_grid] + [np.exp(-0.5 * bath.kernel_zero(lam, s_grid))
+                     for lam in config.lambda_values],
+         (), ({tag: tag for tag in tags_b},
+              dict(title="dressed hopping vs scattering scale", x_label="s",
+                   y_label="Jt/J", log_x=True))),
+    ]
 
 
 def _run_bangbang(config):
-    cfg = config.oracle_config()
     schedules = [oracle.PulseSchedule(total_time=config.total_time, cycles=n)
                  for n in config.cycles]
-    report = oracle.run_bangbang(cfg, config.initial_state(), schedules)
-    path = os.path.join(config.out_dir, "bangbang.csv")
-    report.to_csv(path)
-    written = [path]
-    if config.svg:
-        svg = os.path.join(config.out_dir, "bangbang.svg")
-        write_svg(svg, [r.delta_t for r in report.results],
-                  {"pulsed": [r.distance_pulsed for r in report.results],
-                   "free": [r.distance_free for r in report.results]},
-                  title="pulse-train protection", x_label="delta_t",
-                  y_label="trace distance", log_x=True, log_y=True)
-        written.append(svg)
-    return written
+    report = oracle.run_bangbang(config.oracle_config(), config.initial_state(), schedules)
+    return [("bangbang", *report.table(),
+             ({"pulsed": "trace_distance_pulsed", "free": "trace_distance_free"},
+              dict(title="pulse-train protection", x_label="delta_t",
+                   y_label="trace distance", log_x=True, log_y=True)))]
 
 
 def _run_oracle_compare(config):
-    cfg = config.oracle_config()
     grid = config.grid()
-    comp = oracle.compare_with_master_equation(cfg, config.initial_state(), grid)
-    path = os.path.join(config.out_dir, "compare.csv")
-    write_csv(
-        path,
+    comp = oracle.compare_with_master_equation(
+        config.oracle_config(), config.initial_state(), grid)
+    return [(
+        "compare",
         ["t", "C_exact", "C_master", "PD_exact", "PD_master"],
         [grid.points, comp.exact.coherence, comp.master.coherence,
          comp.exact.pop_diff, comp.master.pop_diff],
-        comments=[
-            f"# j_tilde={format_number(comp.j_tilde)} "
-            f"delta_e_b={format_number(comp.delta_e_b)} "
-            f"adiabaticity_ratio={format_number(comp.adiabaticity_ratio)} "
-            f"rms_coherence_diff={format_number(comp.rms_coherence_diff)}"
-        ],
-    )
-    written = [path]
-    if config.svg:
-        svg = os.path.join(config.out_dir, "compare.svg")
-        write_svg(svg, grid.points,
-                  {"C_exact": comp.exact.coherence, "C_master": comp.master.coherence},
-                  title="exact vs rate equation", x_label="t", y_label="C(t)")
-        written.append(svg)
-    return written
+        [f"# j_tilde={format_number(comp.j_tilde)} "
+         f"delta_e_b={format_number(comp.delta_e_b)} "
+         f"adiabaticity_ratio={format_number(comp.adiabaticity_ratio)} "
+         f"rms_coherence_diff={format_number(comp.rms_coherence_diff)}"],
+        ({"C_exact": "C_exact", "C_master": "C_master"},
+         dict(title="exact vs rate equation", x_label="t", y_label="C(t)")),
+    )]
 
 
 _MODE_RUNNERS = {
@@ -357,13 +310,28 @@ def run_experiment(config: ExperimentConfig):
     """Execute one experiment; returns the list of files written.
 
     The resolved configuration echo is always written first, so a failed
-    run still documents what was attempted.
+    run still documents what was attempted. The verb's runner returns its
+    tables, each ``(stem, header, columns, comments, plot)``; every table
+    becomes ``stem.csv`` and, with ``svg`` set, ``stem.svg`` beside it.
+    ``plot`` is ``(series, style)``: series maps each legend label to the
+    header name of the column it draws against the first column, and style
+    holds write_svg's title, axis labels and log flags.
     """
     config.validate()
     ensure_dir(config.out_dir)
     echo = os.path.join(config.out_dir, "config_echo.cfg")
     write_config_echo(config, echo)
-    written = [echo] + _MODE_RUNNERS[config.mode](config)
+    written = [echo]
+    for stem, header, columns, comments, (series, style) in \
+            _MODE_RUNNERS[config.mode](config):
+        path = os.path.join(config.out_dir, stem)
+        write_csv(path + ".csv", header, columns, comments)
+        written.append(path + ".csv")
+        if config.svg:
+            by_name = dict(zip(header, columns))
+            write_svg(path + ".svg", columns[0],
+                      {label: by_name[name] for label, name in series.items()}, **style)
+            written.append(path + ".svg")
     return written
 
 
@@ -482,7 +450,7 @@ def selftest(out=None) -> bool:
 # Entry point
 # ---------------------------------------------------------------------------
 
-# (flag, key, help); every verb takes each of these plus --config
+# (flag, key, help); every verb but selftest takes each of these plus --config
 _FLAGS = (
     ("--out", "out_dir", f"output directory (default ${ENV_OUT_DIR} or ./out)"),
     ("--s", "s", "scattering scale; the s_values list for sweep-s and "
@@ -505,7 +473,7 @@ def _build_parser():
         description="Dephasing and pulse protection of a two-site polaron qubit.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in MODES + ("selftest",):
+    for verb in MODES:
         p = sub.add_parser(verb)
         p.add_argument("--config", help="flat key = value configuration file")
         for flag, key, help_text in _FLAGS:
@@ -514,6 +482,7 @@ def _build_parser():
                                help=help_text)
             else:
                 p.add_argument(flag, dest=key, help=help_text)
+    sub.add_parser("selftest")  # takes no flags, so a stray one exits 2
     return parser
 
 

@@ -163,12 +163,17 @@ class Trajectory:
                 t_first=t_first,
             )
 
+    def table(self):
+        """(header, columns, comments) of the trajectory's CSV."""
+        return (["t", "rho_ss", "rho_tt", "re_rho_st", "im_rho_st", "C", "P_D"],
+                [self.grid.points, self.rho_ss, self.rho_tt,
+                 self.rho_st.real, self.rho_st.imag, self.coherence, self.pop_diff],
+                ())
+
     def to_csv(self, path):
         from .output import write_csv
 
-        write_csv(path, ["t", "rho_ss", "rho_tt", "re_rho_st", "im_rho_st", "C", "P_D"],
-                  [self.grid.points, self.rho_ss, self.rho_tt,
-                   self.rho_st.real, self.rho_st.imag, self.coherence, self.pop_diff])
+        write_csv(path, *self.table())
 
 
 def trajectory_from_matrices(grid: TimeGrid, matrices: np.ndarray) -> Trajectory:

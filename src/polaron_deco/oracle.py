@@ -446,13 +446,26 @@ class LangFirsovReport:
 
 def _coherent_tail(weights: np.ndarray, n_max: int) -> float:
     """Poisson weight beyond the Fock cutoff, summed over displacements of
-    |alpha_k|^2 = weights."""
+    |alpha_k|^2 = weights.
+
+    A weight up to n_max + 1 sums its omitted terms, which shrink at least
+    geometrically, so a tail far below 1e-16 keeps its digits. Above that
+    the tail is about 1/2 or more, and 1 - (kept terms) is exact to rounding
+    even where exp(-weight) underflows.
+    """
     term = np.exp(-weights)
-    acc = term
+    kept = term
     for n in range(1, n_max + 1):
         term = term * weights / n
-        acc = acc + term
-    return float(np.sum(np.maximum(0.0, 1.0 - acc)))
+        kept = kept + term
+    low = weights <= n_max + 1
+    omitted = np.zeros_like(weights)
+    n = n_max
+    while np.any(term > 1e-17 * omitted):
+        n += 1
+        term = np.where(low, term * weights / n, 0.0)
+        omitted = omitted + term
+    return float(np.sum(np.where(low, omitted, 1.0 - kept)))
 
 
 def _transformed(config: TruncatedBathConfig, particles: int, rows: np.ndarray):
@@ -619,19 +632,14 @@ class BangBangReport:
     results: tuple
     fitted_slope: float | None
 
-    def to_csv(self, path):
-        from .output import format_number, write_csv
+    def table(self):
+        """(header, columns, comments) of the report's CSV: one row per
+        schedule, the fitted slope repeated on each."""
+        from .output import format_number
 
         cfg = self.config
-        header_comment = (
-            f"# config: n_modes={cfg.n_modes} n_max={cfg.n_max} "
-            f"j_hop={format_number(cfg.j_hop)} eps={format_number(cfg.epsilon_onsite)} "
-            f"freqs={','.join(format_number(w) for w in cfg.mode_freqs)} "
-            f"T={format_number(self.total_time)}"
-        )
         slope = self.fitted_slope if self.fitted_slope is not None else float("nan")
-        write_csv(
-            path,
+        return (
             ["delta_t", "n_cycles", "trace_distance_pulsed", "trace_distance_free",
              "fitted_slope"],
             [[r.delta_t for r in self.results],
@@ -639,8 +647,16 @@ class BangBangReport:
              [r.distance_pulsed for r in self.results],
              [r.distance_free for r in self.results],
              [slope] * len(self.results)],
-            comments=[header_comment],
+            [f"# config: n_modes={cfg.n_modes} n_max={cfg.n_max} "
+             f"j_hop={format_number(cfg.j_hop)} eps={format_number(cfg.epsilon_onsite)} "
+             f"freqs={','.join(format_number(w) for w in cfg.mode_freqs)} "
+             f"T={format_number(self.total_time)}"],
         )
+
+    def to_csv(self, path):
+        from .output import write_csv
+
+        write_csv(path, *self.table())
 
 
 def run_bangbang(config: TruncatedBathConfig, rho0: DensityMatrixST,

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -159,15 +161,40 @@ class TestRunExperiment:
         assert np.max(data[:, header.index("C_exact")]) < 0.01
         assert rms < 0.01
 
+    # verb, config flags at a small size, and each table's SVG legend labels
+    OUTPUTS = [
+        ("single", {"t_max": "2", "dt": "0.01"},
+         {"trajectory": ["C", "P_D", "rho_TT", "rho_SS"]}),
+        ("sweep-s", {"t_max": "2", "dt": "0.01", "s_values": "1,10"},
+         {"fig2a": ["s=1", "s=10"], "fig2bcd": ["PD_s=1", "PD_s=10"]}),
+        ("sweep-lambda", {"t_max": "2", "dt": "0.01", "lambda_values": "0.5"},
+         {"fig2a": ["lambda=0.5"], "fig2bcd": ["PD_lambda=0.5"]}),
+        ("effective-hopping", {"s_values": "1", "lambda_values": "0.5,2"},
+         {"fig1a": ["ratio_s=1"], "fig1b": ["ratio_lambda=0.5", "ratio_lambda=2"]}),
+        ("bangbang", {"n_max": "2", "cycles": "4,8"}, {"bangbang": ["pulsed", "free"]}),
+        ("oracle-compare", {"n_max": "2", "t_max": "2"},
+         {"compare": ["C_exact", "C_master"]}),
+    ]
+
     def test_svg_emission(self, tmp_path):
-        cfg = cli.parse_config(flags={"s": "1", "t_max": "2", "dt": "0.01",
-                                      "svg": "true", "out_dir": str(tmp_path)})
-        written = cli.run_experiment(cfg)
-        svg = tmp_path / "trajectory.svg"
-        assert str(svg) in written
-        body = svg.read_text()
-        assert body.startswith("<svg ")
-        assert "polyline" in body
+        # every verb: the echo, then stem.csv for every table and stem.svg
+        # beside it under svg; the returned list is exactly what is on disk
+        for (verb, flags, legends), svg in itertools.product(self.OUTPUTS, (False, True)):
+            out = tmp_path / f"{verb}-{svg}"
+            cfg = cli.parse_config(mode=verb, flags=dict(flags, out_dir=str(out),
+                                                         svg=str(svg)))
+            written = cli.run_experiment(cfg)
+            expected = [out / "config_echo.cfg"]
+            for stem in legends:
+                expected += [out / f"{stem}.csv"] + ([out / f"{stem}.svg"] if svg else [])
+            assert written == [str(p) for p in expected]
+            assert sorted(out.iterdir()) == sorted(expected)
+            for stem, labels in legends.items() if svg else ():
+                body = (out / f"{stem}.svg").read_text()
+                assert body.startswith("<svg ")
+                assert body.count("<polyline ") == len(labels)
+                assert re.findall(r'<text x="[^"]+" y="[^"]+">([^<]*)</text>',
+                                  body) == labels
 
     def test_csv_well_formed(self, tmp_path):
         cfg = cli.parse_config(mode="sweep-s",
@@ -334,6 +361,17 @@ class TestMain:
         assert record["error"] == "ConfigError"
         assert f"line 2: key '{key}' was removed" in record["message"]
         assert not (tmp_path / "config_echo.cfg").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["selftest", "--s", "1"],
+        ["selftest", "--lambda", "800", "--s", "3"],
+        ["selftest", "--config", "/nonexistent"],
+        ["selftest", "--svg"],
+    ])
+    def test_selftest_takes_no_flags(self, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
 
     def test_removed_jobs_flag(self, tmp_path):
         with pytest.raises(SystemExit) as info:

@@ -244,6 +244,24 @@ class TestLangFirsov:
         assert below.conclusive and below.suggested_n_max == 4
         assert not above.conclusive and above.suggested_n_max == 6
 
+    @pytest.mark.parametrize("weights, n_max", [
+        ((0.25,), 12),             # 1.9e-18, where 1 - (kept terms) rounds to 0
+        ((1e-3, 0.25, 1.0, 5.0), 12),
+        ((0.8, 3.0), 4),
+        ((12.5, 13.0, 13.5), 12),  # either side of weight = n_max + 1
+        ((40.0,), 6),              # tail near 1
+        ((900.0, 0.1), 2),         # exp(-900) underflows
+    ])
+    def test_coherent_tail_sums_omitted_terms(self, weights, n_max):
+        w = np.array(weights)
+        expected = float(np.sum(gammainc(n_max + 1, w)))
+        assert oracle._coherent_tail(w, n_max) == pytest.approx(expected, rel=1e-12)
+
+    def test_reported_tail_below_rounding(self):
+        report = pd.lang_firsov_check(single_mode(alpha=0.5, n_max=12),
+                                      include_two_particle=False)
+        assert report.truncation_tail == pytest.approx(gammainc(13, 0.25), rel=1e-12)
+
     def test_inconclusive_when_truncated_too_hard(self):
         report = pd.lang_firsov_check(single_mode(alpha=2.0, n_max=2),
                                       include_two_particle=False)
