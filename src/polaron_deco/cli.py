@@ -2,11 +2,14 @@
 
 Configuration is a flat ``key = value`` file (``#`` comments) merged with
 command-line flags; flags win. The fields of ``ExperimentConfig`` are the
-only key list: the value parsers come from their defaults' types and the
-flags from one ``(flag, key, help)`` table. A key that an older release
-accepted (``_REMOVED_KEYS``) is a configuration error, never ignored. Every
-run writes the fully resolved configuration next to its outputs, and
-re-running from that echo reproduces the outputs byte for byte.
+only key list, and the value parsers come from their defaults' types.
+``VERBS`` is the one verb table: each verb's runner, the keys it reads
+besides ``mode``, ``out_dir`` and ``svg``, and its mode defaults. A verb
+takes a flag from the ``(flag, key, help)`` table ``_FLAGS`` only for a key
+it reads. A key it does not read, like a key that an older release accepted
+(``_REMOVED_KEYS``), is a configuration error, never ignored. Every run
+writes the keys its verb reads next to its outputs, and re-running from
+that echo reproduces the outputs byte for byte.
 
 Verbs: single, sweep-s, sweep-lambda, effective-hopping, bangbang,
 oracle-compare, selftest. Each experiment verb returns its output tables
@@ -25,6 +28,7 @@ import math
 import os
 import sys
 import tempfile
+from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -32,9 +36,6 @@ import numpy as np
 from . import bath, dynamics, numerics, oracle, rates
 from .errors import ConfigError, InvariantError, NumericalError, PolaronDecoError
 from .output import ensure_dir, format_number, write_csv, write_svg
-
-MODES = ("single", "sweep-s", "sweep-lambda", "effective-hopping",
-         "bangbang", "oracle-compare")
 
 ENV_OUT_DIR = "POLARON_DECO_OUT"
 
@@ -69,8 +70,7 @@ class ExperimentConfig:
     svg: bool = False
 
     def validate(self) -> "ExperimentConfig":
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        keys = _keys(self.mode)  # refuses an unknown mode
         for f in fields(self):
             val = getattr(self, f.name)
             if any(isinstance(v, float) and not math.isfinite(v)
@@ -89,6 +89,8 @@ class ExperimentConfig:
             raise ConfigError(f"total_time must be > 0, got {self.total_time}")
         if not (self.s_values and self.lambda_values and self.cycles):
             raise ConfigError("s_values, lambda_values and cycles must not be empty")
+        if "n_modes" in keys:
+            self.oracle_config()  # refuses a space over oracle.DIM_CAP
         return self
 
     def initial_state(self) -> dynamics.DensityMatrixST:
@@ -129,18 +131,16 @@ _REMOVED_KEYS = {
     "seed": "it was never read; delete the line",
 }
 
-# scalar key -> (list key, verbs that sweep the list and never read the scalar)
-_SWEPT_KEYS = {
-    "s": ("s_values", ("sweep-s", "effective-hopping")),
-    "lambda_g": ("lambda_values", ("sweep-lambda", "effective-hopping")),
-}
+# a scalar and the list that a sweep reads in its place: the scalar's flag
+# sets the list on a verb that reads the list and not the scalar
+_LIST_OF = {"s": "s_values", "lambda_g": "lambda_values"}
 
-# mode-specific defaults applied before file and flag overrides
-_MODE_DEFAULTS = {
-    "bangbang": {"s": math.pi, "j_hop": 0.5},
-    "oracle-compare": {"lambda_g": 0.1, "j_hop": 0.1, "t_max": 10.0,
-                       "dt": 0.0125, "n_max": 5},
-}
+
+def _keys(mode):
+    """Every key a verb takes: mode, the keys it reads, out_dir and svg."""
+    if mode not in VERBS:
+        raise ConfigError(f"unknown mode {mode!r}; expected one of {tuple(VERBS)}")
+    return ("mode",) + VERBS[mode].reads + ("out_dir", "svg")
 
 
 def _parse_value(key, val, where):
@@ -171,9 +171,10 @@ def _parse_config_text(text):
 def parse_config(file_text=None, flags=None, mode=None) -> ExperimentConfig:
     """Resolve defaults, file values and flag overrides into a config.
 
-    Precedence, lowest first: built-in defaults, mode-specific defaults,
+    Precedence, lowest first: built-in defaults, the verb's mode defaults,
     config file, flags. The mode argument (the CLI verb) participates as a
-    flag-level override of any ``mode`` key in the file.
+    flag-level override of any ``mode`` key in the file. A key that the
+    verb does not read is a ConfigError.
     """
     file_values = _parse_config_text(file_text) if file_text else {}
     flag_values = {key: _parse_value(key, val, "flag")
@@ -181,16 +182,13 @@ def parse_config(file_text=None, flags=None, mode=None) -> ExperimentConfig:
 
     resolved_mode = mode or flag_values.get("mode") or file_values.get("mode") \
         or "single"
-    for key, (list_key, verbs) in _SWEPT_KEYS.items():
-        # a config echo names both keys; a file naming only the scalar would
-        # silently run the default list
-        if resolved_mode in verbs and key in file_values and list_key not in file_values:
-            raise ConfigError(f"config file: {resolved_mode} sweeps {list_key} and "
-                              f"ignores {key!r}; set {list_key} instead")
-    merged = dict(_MODE_DEFAULTS.get(resolved_mode, {}))
-    merged.update(file_values)
-    merged.update(flag_values)
-    merged["mode"] = resolved_mode
+    given = {**file_values, **flag_values}
+    keys = _keys(resolved_mode)
+    unread = [f"{key!r} (set {_LIST_OF[key]} instead)" if _LIST_OF.get(key) in keys
+              else repr(key) for key in given if key not in keys]
+    if unread:
+        raise ConfigError(f"{resolved_mode} does not read {', '.join(unread)}")
+    merged = {**VERBS[resolved_mode].defaults, **given, "mode": resolved_mode}
     if not merged.get("out_dir"):
         merged["out_dir"] = os.environ.get(ENV_OUT_DIR, "out")
     return ExperimentConfig(**merged).validate()
@@ -209,8 +207,10 @@ def _format_value(v):
 
 
 def write_config_echo(config: ExperimentConfig, path):
+    """Write mode, the keys the verb reads and out_dir and svg, in field order."""
+    keys = _keys(config.mode)
     lines = [f"{f.name} = {_format_value(getattr(config, f.name))}"
-             for f in fields(ExperimentConfig)]
+             for f in fields(ExperimentConfig) if f.name in keys]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -296,13 +296,28 @@ def _run_oracle_compare(config):
     )]
 
 
-_MODE_RUNNERS = {
-    "single": _run_single,
-    "sweep-s": lambda cfg: _run_sweep(cfg, "s", cfg.s_values, "s"),
-    "sweep-lambda": lambda cfg: _run_sweep(cfg, "lambda_g", cfg.lambda_values, "lambda"),
-    "effective-hopping": _run_effective_hopping,
-    "bangbang": _run_bangbang,
-    "oracle-compare": _run_oracle_compare,
+# the initial state, then what a rate-equation run reads besides its coupling
+# and scattering scale (or their lists), then what the exact oracle reads
+_STATE = ("rho_ss", "re_rho_st", "im_rho_st")
+_RATE = ("j_hop", "t_max", "dt") + _STATE
+_ORACLE = ("lambda_g", "s", "j_hop", "n_modes", "n_max") + _STATE
+
+Verb = namedtuple("Verb", "runner reads defaults")
+
+# verb -> its runner, the config keys it reads besides mode, out_dir and svg,
+# and the mode defaults applied before file and flag values
+VERBS = {
+    "single": Verb(_run_single, ("lambda_g", "s") + _RATE, {}),
+    "sweep-s": Verb(lambda cfg: _run_sweep(cfg, "s", cfg.s_values, "s"),
+                    ("lambda_g", "s_values") + _RATE, {}),
+    "sweep-lambda": Verb(lambda cfg: _run_sweep(cfg, "lambda_g", cfg.lambda_values, "lambda"),
+                         ("s", "lambda_values") + _RATE, {}),
+    "effective-hopping": Verb(_run_effective_hopping, ("s_values", "lambda_values"), {}),
+    "bangbang": Verb(_run_bangbang, _ORACLE + ("cycles", "total_time"),
+                     {"s": math.pi, "j_hop": 0.5}),
+    "oracle-compare": Verb(_run_oracle_compare, _ORACLE + ("t_max", "dt"),
+                           {"lambda_g": 0.1, "j_hop": 0.1, "t_max": 10.0,
+                            "dt": 0.0125, "n_max": 5}),
 }
 
 
@@ -323,7 +338,7 @@ def run_experiment(config: ExperimentConfig):
     write_config_echo(config, echo)
     written = [echo]
     for stem, header, columns, comments, (series, style) in \
-            _MODE_RUNNERS[config.mode](config):
+            VERBS[config.mode].runner(config):
         path = os.path.join(config.out_dir, stem)
         write_csv(path + ".csv", header, columns, comments)
         written.append(path + ".csv")
@@ -450,17 +465,15 @@ def selftest(out=None) -> bool:
 # Entry point
 # ---------------------------------------------------------------------------
 
-# (flag, key, help); every verb but selftest takes each of these plus --config
+# (flag, key, help); a verb takes --config, --svg and the flag of each key it
+# takes (_keys), and --s / --lambda set the list on a verb that sweeps it
 _FLAGS = (
     ("--out", "out_dir", f"output directory (default ${ENV_OUT_DIR} or ./out)"),
-    ("--s", "s", "scattering scale; the s_values list for sweep-s and "
-                 "effective-hopping"),
-    ("--lambda", "lambda_g", "effective coupling; the lambda_values list for "
-                             "sweep-lambda and effective-hopping"),
+    ("--s", "s", "scattering scale"),
+    ("--lambda", "lambda_g", "effective coupling"),
     ("--j", "j_hop", "bare hopping"),
     ("--tmax", "t_max", "grid end time"),
     ("--dt", "dt", "grid spacing"),
-    ("--svg", "svg", "also emit SVG charts"),
     ("--modes", "n_modes", "number of discretized bath modes"),
     ("--nmax", "n_max", "Fock cutoff per mode"),
     ("--cycles", "cycles", "comma list of pulse cycle counts"),
@@ -473,34 +486,19 @@ def _build_parser():
         description="Dephasing and pulse protection of a two-site polaron qubit.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in MODES:
+    for verb in VERBS:
         p = sub.add_parser(verb)
         p.add_argument("--config", help="flat key = value configuration file")
+        p.add_argument("--svg", action="store_true", default=None,
+                       help="also emit SVG charts")
+        keys = _keys(verb)
         for flag, key, help_text in _FLAGS:
-            if _KEY_PARSERS[key] is _parse_bool:
-                p.add_argument(flag, dest=key, action="store_true", default=None,
-                               help=help_text)
-            else:
+            if key not in keys and _LIST_OF.get(key) in keys:
+                key, help_text = _LIST_OF[key], f"comma list of {help_text} values"
+            if key in keys:
                 p.add_argument(flag, dest=key, help=help_text)
     sub.add_parser("selftest")  # takes no flags, so a stray one exits 2
     return parser
-
-
-def _flags_from_args(args) -> dict:
-    """Flag values by config key. On the verbs that sweep a key, its flag
-    sets the list (one value meaning a one-point list); elsewhere the scalar."""
-    flags = {key: getattr(args, key) for _, key, _ in _FLAGS
-             if getattr(args, key) is not None}
-    for flag, key, _ in _FLAGS:
-        if key not in _SWEPT_KEYS or key not in flags:
-            continue
-        list_key, verbs = _SWEPT_KEYS[key]
-        if args.verb in verbs:
-            flags[list_key] = flags.pop(key)
-        elif "," in flags[key]:
-            raise ConfigError(f"{flag} takes one value for {args.verb}; "
-                              f"only {' and '.join(verbs)} read a list")
-    return flags
 
 
 def _error_record(exc) -> str:
@@ -508,20 +506,21 @@ def _error_record(exc) -> str:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.verb == "selftest":
+    # every parser dest but these two is a config key (None when not given)
+    flags = vars(_build_parser().parse_args(argv))
+    verb, config_path = flags.pop("verb"), flags.pop("config", None)
+    if verb == "selftest":
         return 0 if selftest() else 4
 
     try:
         file_text = None
-        if args.config:
+        if config_path:
             try:
-                with open(args.config, encoding="utf-8") as fh:
+                with open(config_path, encoding="utf-8") as fh:
                     file_text = fh.read()
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from None
-        config = parse_config(file_text=file_text, flags=_flags_from_args(args),
-                              mode=args.verb)
+        config = parse_config(file_text=file_text, flags=flags, mode=verb)
         written = run_experiment(config)
     except PolaronDecoError as exc:
         print(_error_record(exc), file=sys.stderr)

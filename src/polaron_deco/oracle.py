@@ -179,6 +179,14 @@ def ohmic_mode_config(n_modes: int = 2, n_max: int = 6, coupling: float = 1.0,
     g_1 + g_2 vanishes; that is the regime in which the pulse train's
     per-cycle error is purely second order, see run_bangbang.
     """
+    # refuse an over-cap space before allocating anything of length n_modes:
+    # the product stops at the cap, so a huge n_modes costs nothing
+    dim = 2
+    for _ in range(n_modes if n_max > 0 else 0):
+        dim *= n_max + 1
+        if dim > DIM_CAP:
+            raise ConfigError(f"Hilbert dimension 2*{n_max + 1}**{n_modes} "
+                              f"exceeds cap {DIM_CAP}")
     dw = OMEGA_MAX / n_modes
     w = (np.arange(n_modes) + 0.5) * dw
     g_mag = np.sqrt(coupling * w * np.exp(-w * w) * dw)

@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -161,19 +161,26 @@ class TestRunExperiment:
         assert np.max(data[:, header.index("C_exact")]) < 0.01
         assert rms < 0.01
 
-    # verb, config flags at a small size, and each table's SVG legend labels
+    # verb, config flags at a small size, and for each table its SVG legend
+    # labels mapped to the CSV column each one draws
     OUTPUTS = [
         ("single", {"t_max": "2", "dt": "0.01"},
-         {"trajectory": ["C", "P_D", "rho_TT", "rho_SS"]}),
+         {"trajectory": {"C": "C", "P_D": "P_D", "rho_TT": "rho_tt", "rho_SS": "rho_ss"}}),
         ("sweep-s", {"t_max": "2", "dt": "0.01", "s_values": "1,10"},
-         {"fig2a": ["s=1", "s=10"], "fig2bcd": ["PD_s=1", "PD_s=10"]}),
+         {"fig2a": {"s=1": "C_s=1", "s=10": "C_s=10"},
+          "fig2bcd": {"PD_s=1": "PD_s=1", "PD_s=10": "PD_s=10"}}),
         ("sweep-lambda", {"t_max": "2", "dt": "0.01", "lambda_values": "0.5"},
-         {"fig2a": ["lambda=0.5"], "fig2bcd": ["PD_lambda=0.5"]}),
+         {"fig2a": {"lambda=0.5": "C_lambda=0.5"},
+          "fig2bcd": {"PD_lambda=0.5": "PD_lambda=0.5"}}),
         ("effective-hopping", {"s_values": "1", "lambda_values": "0.5,2"},
-         {"fig1a": ["ratio_s=1"], "fig1b": ["ratio_lambda=0.5", "ratio_lambda=2"]}),
-        ("bangbang", {"n_max": "2", "cycles": "4,8"}, {"bangbang": ["pulsed", "free"]}),
+         {"fig1a": {"ratio_s=1": "ratio_s=1"},
+          "fig1b": {"ratio_lambda=0.5": "ratio_lambda=0.5",
+                    "ratio_lambda=2": "ratio_lambda=2"}}),
+        ("bangbang", {"n_max": "2", "cycles": "4,8"},
+         {"bangbang": {"pulsed": "trace_distance_pulsed",
+                       "free": "trace_distance_free"}}),
         ("oracle-compare", {"n_max": "2", "t_max": "2"},
-         {"compare": ["C_exact", "C_master"]}),
+         {"compare": {"C_exact": "C_exact", "C_master": "C_master"}}),
     ]
 
     def test_svg_emission(self, tmp_path):
@@ -189,12 +196,66 @@ class TestRunExperiment:
                 expected += [out / f"{stem}.csv"] + ([out / f"{stem}.svg"] if svg else [])
             assert written == [str(p) for p in expected]
             assert sorted(out.iterdir()) == sorted(expected)
-            for stem, labels in legends.items() if svg else ():
+            for stem, columns in legends.items() if svg else ():
                 body = (out / f"{stem}.svg").read_text()
                 assert body.startswith("<svg ")
-                assert body.count("<polyline ") == len(labels)
                 assert re.findall(r'<text x="[^"]+" y="[^"]+">([^<]*)</text>',
-                                  body) == labels
+                                  body) == list(columns)
+                polylines = re.findall(r'<polyline points="([^"]+)"', body)
+                assert len(polylines) == len(columns)
+                header, data = read_csv(out / f"{stem}.csv")
+                drawn = np.array([[float(p.split(",")[1]) for p in pts.split()]
+                                  for pts in polylines])
+                named = data[:, [header.index(c) for c in columns.values()]].T
+                if stem == "bangbang":  # the one chart with a log y axis
+                    named = np.log10(named)
+                self._assert_one_scale(drawn, named)
+
+    @staticmethod
+    def _assert_one_scale(drawn, named):
+        # every series of a chart maps its column to pixels by the same
+        # affine y scale, so a series that draws another column fails the fit
+        design = np.stack([named.ravel(), np.ones(named.size)], axis=1)
+        coef, *_ = np.linalg.lstsq(design, drawn.ravel(), rcond=None)
+        assert np.max(np.abs(design @ coef - drawn.ravel())) <= 0.01
+
+    # a valid value other than every default, for each key a verb may read
+    OTHER = {"lambda_g": 0.7, "s": 3.0, "j_hop": 0.3, "t_max": 1.0, "dt": 0.02,
+             "rho_ss": 0.5, "re_rho_st": 0.1, "im_rho_st": 0.2, "s_values": (2.0, 20.0),
+             "lambda_values": (0.25,), "n_modes": 3, "n_max": 3, "cycles": (2, 6),
+             "total_time": 2.0}
+
+    def test_other_values_are_drawn(self):
+        defaults = cli.ExperimentConfig()
+        assert set(self.OTHER) == {f.name for f in fields(defaults)} - {
+            "mode", "out_dir", "svg"}
+        for entry in cli.VERBS.values():
+            assert not any(self.OTHER[k] == entry.defaults.get(k, getattr(defaults, k))
+                           for k in self.OTHER)
+
+    @pytest.mark.parametrize("verb, flags, legends", OUTPUTS)
+    def test_verb_reads_no_other_key(self, tmp_path, capsys, verb, flags, legends):
+        # the verb table is honest: a key outside a verb's reads changes none
+        # of its CSVs, has no flag, and is refused from a file
+        reads = cli.VERBS[verb].reads
+        unread = [k for k in self.OTHER if k not in reads]
+        cfg = cli.parse_config(mode=verb, flags=dict(flags, out_dir=str(tmp_path / "a")))
+        other = replace(cfg, out_dir=str(tmp_path / "b"),
+                        **{k: self.OTHER[k] for k in unread})
+        for config in (cfg, other):
+            cli.run_experiment(config)
+        for stem in legends:
+            assert (tmp_path / "a" / f"{stem}.csv").read_bytes() == \
+                (tmp_path / "b" / f"{stem}.csv").read_bytes()
+        dests = vars(cli._build_parser().parse_args([verb]))
+        assert set(dests) - {"verb", "config"} <= set(reads) | {"out_dir", "svg"}
+        for key in unread:
+            config = tmp_path / f"{key}.cfg"
+            config.write_text(f"{key} = {cli._format_value(self.OTHER[key])}\n")
+            out = tmp_path / key
+            assert cli.main([verb, "--config", str(config), "--out", str(out)]) == 2
+            assert f"{verb} does not read {key!r}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_csv_well_formed(self, tmp_path):
         cfg = cli.parse_config(mode="sweep-s",
@@ -278,8 +339,8 @@ class TestMain:
     def test_list_flags_per_verb(self, tmp_path, argv, key, expected):
         # --s / --lambda set the list a verb sweeps (one value is a
         # one-point list) and the scalar on every other verb
-        code = cli.main(argv + ["--tmax", "0.5", "--dt", "0.05",
-                                "--out", str(tmp_path)])
+        grid = [] if argv[0] == "effective-hopping" else ["--tmax", "0.5", "--dt", "0.05"]
+        code = cli.main(argv + grid + ["--out", str(tmp_path)])
         assert code == 0
         echo = (tmp_path / "config_echo.cfg").read_text().splitlines()
         assert f"{key} = {expected}" in echo
@@ -304,7 +365,9 @@ class TestMain:
         assert code == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigError"
-        assert "takes one value" in record["message"]
+        # a comma list does not parse as the one number the verb reads
+        assert re.search(r"flag: invalid value for '(s|lambda_g)': "
+                         + re.escape(repr(argv[2])), record["message"])
         assert not (tmp_path / "config_echo.cfg").exists()
 
     @pytest.mark.parametrize("verb, key, list_key", [
@@ -314,26 +377,43 @@ class TestMain:
         ("effective-hopping", "lambda_g", "lambda_values"),
     ])
     def test_swept_scalar_in_file_exit_code(self, tmp_path, capsys, verb, key, list_key):
-        # the verb sweeps the list, so the scalar alone would be echoed but
-        # never used while the default list runs
+        # the verb sweeps the list and never reads the scalar, so the error
+        # names the list to set
         config = tmp_path / "f.cfg"
         config.write_text(f"{key} = 5\n")
         code = cli.main([verb, "--config", str(config), "--out", str(tmp_path)])
         assert code == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigError"
-        assert f"ignores {key!r}; set {list_key} instead" in record["message"]
+        assert f"{verb} does not read {key!r} (set {list_key} instead)" in record["message"]
         assert not (tmp_path / "config_echo.cfg").exists()
 
-    def test_swept_scalar_with_list_in_file(self, tmp_path):
-        # a config echo names both keys; the list is what the sweep reads
+    def test_swept_scalar_with_list_in_file(self, tmp_path, capsys):
+        # the scalar is refused even beside its list: an echo from an older
+        # release, which named every key, exits 2 until the line is deleted
         config = tmp_path / "f.cfg"
         config.write_text("s = 5\ns_values = 2\n")
         code = cli.main(["sweep-s", "--config", str(config), "--tmax", "0.5",
                          "--dt", "0.05", "--out", str(tmp_path)])
-        assert code == 0
-        header, _ = read_csv(tmp_path / "fig2a.csv")
-        assert header == ["t", "C_s=2"]
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert "sweep-s does not read 's' (set s_values instead)" in record["message"]
+        assert not (tmp_path / "config_echo.cfg").exists()
+
+    def test_oversized_oracle_refused_before_allocating(self):
+        # at 2**40 modes, building any array of the mode count would fail
+        cfg = cli.ExperimentConfig(mode="oracle-compare", n_modes=2**40, n_max=1)
+        with pytest.raises(ConfigError, match="exceeds cap"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("verb", ["oracle-compare", "bangbang"])
+    def test_oversized_oracle_exit_code(self, tmp_path, capsys, verb):
+        code = cli.main([verb, "--modes", "13", "--nmax", "1", "--out", str(tmp_path)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert "exceeds cap 4096" in record["message"]
+        assert not (tmp_path / "config_echo.cfg").exists()
 
     def test_oracle_flags(self, tmp_path):
         code = cli.main(["bangbang", "--cycles", "4,8,16", "--modes", "2",

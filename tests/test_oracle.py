@@ -84,6 +84,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="4098 exceeds cap 4096"):
             single_mode(n_max=2048)
 
+    @pytest.mark.parametrize("n_modes, n_max, dim", [(11, 1, 4096), (3, 7, 1024),
+                                                     (1, 2047, 4096)])
+    def test_ohmic_size_within_cap(self, n_modes, n_max, dim):
+        assert ohmic_mode_config(n_modes=n_modes, n_max=n_max).dim == dim
+
+    @pytest.mark.parametrize("n_modes, n_max", [(12, 1), (4, 7), (2**40, 1)])
+    def test_ohmic_size_refused_before_allocating(self, n_modes, n_max):
+        # 2**40 modes would not fit in memory as an array of frequencies
+        with pytest.raises(ConfigError, match=rf"2\*{n_max + 1}\*\*{n_modes} exceeds cap"):
+            ohmic_mode_config(n_modes=n_modes, n_max=n_max)
+
     def test_positive_frequencies(self):
         with pytest.raises(ConfigError):
             TruncatedBathConfig(mode_freqs=(0.0,), g_site1=(0.1,), g_site2=(0.0,),
