@@ -7,9 +7,12 @@ only key list, and the value parsers come from their defaults' types.
 besides ``mode``, ``out_dir`` and ``svg``, and its mode defaults. A verb
 takes a flag from the ``(flag, key, help)`` table ``_FLAGS`` only for a key
 it reads. A key it does not read, like a key that an older release accepted
-(``_REMOVED_KEYS``), is a configuration error, never ignored. Every run
-writes the keys its verb reads next to its outputs, and re-running from
-that echo reproduces the outputs byte for byte.
+(``_REMOVED_KEYS``), is a configuration error, never ignored. An
+``ExperimentConfig`` checks itself when it is built (``dataclasses.replace``
+included) by building the library types that hold the rules, with list
+values checked like scalars, and refuses a list that repeats a value.
+Every run writes the keys its verb reads next to its outputs, and
+re-running from that echo reproduces the outputs byte for byte.
 
 Verbs: single, sweep-s, sweep-lambda, effective-hopping, bangbang,
 oracle-compare, selftest. Each experiment verb returns its output tables
@@ -69,7 +72,7 @@ class ExperimentConfig:
     out_dir: str = ""
     svg: bool = False
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self):
         keys = _keys(self.mode)  # refuses an unknown mode
         for f in fields(self):
             val = getattr(self, f.name)
@@ -77,21 +80,26 @@ class ExperimentConfig:
                    for v in (val if isinstance(val, tuple) else (val,))):
                 raise ConfigError(f"{f.name} must be finite, got {_format_value(val)}")
         self.initial_state()
-        self.bath_model()
+        # the library types hold the rules: lambda_g >= 0 and s >= 0 for
+        # every scalar and list value, cycles >= 1 and total_time > 0
+        for lam in (self.lambda_g,) + self.lambda_values:
+            bath.BathModel(lambda_g=lam)
+        for s in (self.s,) + self.s_values:
+            bath.BathModel(s=s)
         self.grid()
-        if self.n_modes < 1:
-            raise ConfigError(f"n_modes must be >= 1, got {self.n_modes}")
         if self.n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
-        if any(n < 1 for n in self.cycles):
-            raise ConfigError(f"cycles must all be >= 1, got {self.cycles}")
-        if not self.total_time > 0:
-            raise ConfigError(f"total_time must be > 0, got {self.total_time}")
         if not (self.s_values and self.lambda_values and self.cycles):
             raise ConfigError("s_values, lambda_values and cycles must not be empty")
+        for key in ("s_values", "lambda_values"):
+            # each value tags its own output column, so no two may print alike
+            tags = [format_number(v) for v in getattr(self, key)]
+            if len(set(tags)) < len(tags):
+                raise ConfigError(f"{key} repeats a value: {_format_value(getattr(self, key))}")
+        for n in self.cycles:
+            oracle.PulseSchedule(total_time=self.total_time, cycles=n)
         if "n_modes" in keys:
-            self.oracle_config()  # refuses a space over oracle.DIM_CAP
-        return self
+            self.oracle_config()  # refuses no modes or a space over oracle.DIM_CAP
 
     def initial_state(self) -> dynamics.DensityMatrixST:
         return dynamics.DensityMatrixST.from_parts(
@@ -191,7 +199,7 @@ def parse_config(file_text=None, flags=None, mode=None) -> ExperimentConfig:
     merged = {**VERBS[resolved_mode].defaults, **given, "mode": resolved_mode}
     if not merged.get("out_dir"):
         merged["out_dir"] = os.environ.get(ENV_OUT_DIR, "out")
-    return ExperimentConfig(**merged).validate()
+    return ExperimentConfig(**merged)
 
 
 def _format_value(v):
@@ -330,9 +338,9 @@ def run_experiment(config: ExperimentConfig):
     becomes ``stem.csv`` and, with ``svg`` set, ``stem.svg`` beside it.
     ``plot`` is ``(series, style)``: series maps each legend label to the
     header name of the column it draws against the first column, and style
-    holds write_svg's title, axis labels and log flags.
+    holds write_svg's title, axis labels and log flags. The config checked
+    itself when it was built, so nothing is written for an invalid one.
     """
-    config.validate()
     ensure_dir(config.out_dir)
     echo = os.path.join(config.out_dir, "config_echo.cfg")
     write_config_echo(config, echo)

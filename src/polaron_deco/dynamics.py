@@ -110,6 +110,10 @@ class Trajectory:
     coherence is nonzero (coherence_normalized True); otherwise the raw
     |rho_st(t)| with the flag set False. pop_diff is
     |rho_tt - rho_ss| / (rho_tt(0) + rho_ss(0)).
+
+    Building one checks every state: a non-finite entry raises
+    NumericalError, and a trace off by more than TRACE_TOL or an eigenvalue
+    below -POSITIVITY_TOL raises PositivityError.
     """
 
     grid: TimeGrid
@@ -127,6 +131,20 @@ class Trajectory:
                 raise ConfigError(f"{name} length does not match grid")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        finite = np.isfinite(self.rho_ss) & np.isfinite(self.rho_tt) & np.isfinite(self.rho_st)
+        if not finite.all():
+            raise NumericalError(
+                f"non-finite state first at t={self.grid.points[np.argmin(finite)]:.6g}")
+        if self.trace_error() > TRACE_TOL:
+            raise PositivityError(f"trace error {self.trace_error():.3e} > {TRACE_TOL}")
+        mins = self.min_eigenvalues()
+        bad = np.nonzero(mins < -POSITIVITY_TOL)[0]
+        if bad.size:
+            t_first = float(self.grid.points[bad[0]])
+            raise PositivityError(
+                f"negative eigenvalue {mins[bad[0]]:.3e} first at t={t_first:.6g}",
+                t_first=t_first,
+            )
         c0 = abs(self.rho_st[0])
         normalized = c0 > 0.0
         coh = np.abs(self.rho_st) / c0 if normalized else np.abs(self.rho_st)
@@ -145,24 +163,6 @@ class Trajectory:
         d = self.rho_tt - self.rho_ss
         return 0.5 * (1.0 - np.sqrt(d * d + 4.0 * np.abs(self.rho_st) ** 2))
 
-    def check_invariants(self):
-        """Raise if a state is non-finite or trace or positivity drifts beyond
-        tolerance."""
-        finite = np.isfinite(self.rho_ss) & np.isfinite(self.rho_tt) & np.isfinite(self.rho_st)
-        if not finite.all():
-            raise NumericalError(
-                f"non-finite state first at t={self.grid.points[np.argmin(finite)]:.6g}")
-        if self.trace_error() > TRACE_TOL:
-            raise PositivityError(f"trace error {self.trace_error():.3e} > {TRACE_TOL}")
-        mins = self.min_eigenvalues()
-        bad = np.nonzero(mins < -POSITIVITY_TOL)[0]
-        if bad.size:
-            t_first = float(self.grid.points[bad[0]])
-            raise PositivityError(
-                f"negative eigenvalue {mins[bad[0]]:.3e} first at t={t_first:.6g}",
-                t_first=t_first,
-            )
-
     def table(self):
         """(header, columns, comments) of the trajectory's CSV."""
         return (["t", "rho_ss", "rho_tt", "re_rho_st", "im_rho_st", "C", "P_D"],
@@ -179,10 +179,8 @@ class Trajectory:
 def trajectory_from_matrices(grid: TimeGrid, matrices: np.ndarray) -> Trajectory:
     """Wrap an array of [T, S]-ordered 2x2 matrices as a checked Trajectory."""
     matrices = np.asarray(matrices, dtype=complex)
-    traj = Trajectory(grid=grid, rho_ss=matrices[:, 1, 1].real,
+    return Trajectory(grid=grid, rho_ss=matrices[:, 1, 1].real,
                       rho_tt=matrices[:, 0, 0].real, rho_st=matrices[:, 1, 0])
-    traj.check_invariants()
-    return traj
 
 
 def _closed_form_arrays(rho0: DensityMatrixST, rates: RateTable):
@@ -199,9 +197,7 @@ def _closed_form_arrays(rho0: DensityMatrixST, rates: RateTable):
 def evolve_closed_form(rho0: DensityMatrixST, rates: RateTable) -> Trajectory:
     """Exact solution on the rate grid, using the stored running integrals."""
     rho_ss, rho_tt, rho_st = _closed_form_arrays(rho0, rates)
-    traj = Trajectory(grid=rates.grid, rho_ss=rho_ss, rho_tt=rho_tt, rho_st=rho_st)
-    traj.check_invariants()
-    return traj
+    return Trajectory(grid=rates.grid, rho_ss=rho_ss, rho_tt=rho_tt, rho_st=rho_st)
 
 
 def _rk4_run(rho0: DensityMatrixST, rates: RateTable, refine: int = 1):
@@ -244,10 +240,8 @@ def evolve_ode(rho0: DensityMatrixST, rates: RateTable) -> Trajectory:
         )
     # rho_TS = x + i y, stored amplitude is its conjugate rho_ST
     rho_st = out[:, 1] - 1j * out[:, 2]
-    traj = Trajectory(grid=rates.grid, rho_ss=out[:, 0], rho_tt=1.0 - out[:, 0],
+    return Trajectory(grid=rates.grid, rho_ss=out[:, 0], rho_tt=1.0 - out[:, 0],
                       rho_st=rho_st)
-    traj.check_invariants()
-    return traj
 
 
 @dataclass(frozen=True)

@@ -160,8 +160,7 @@ class TruncatedBathConfig:
 
 
 def ohmic_mode_config(n_modes: int = 2, n_max: int = 6, coupling: float = 1.0,
-                      s: float = math.pi, j_hop: float = 0.5,
-                      epsilon_onsite: float = 0.0) -> TruncatedBathConfig:
+                      s: float = math.pi, j_hop: float = 0.5) -> TruncatedBathConfig:
     """Deterministic discretization of the Ohmic-Gaussian bath.
 
     Modes sit at omega_j = (j - 1/2) * domega on (0, OMEGA_MAX] with
@@ -179,6 +178,8 @@ def ohmic_mode_config(n_modes: int = 2, n_max: int = 6, coupling: float = 1.0,
     g_1 + g_2 vanishes; that is the regime in which the pulse train's
     per-cycle error is purely second order, see run_bangbang.
     """
+    if n_modes < 1:
+        raise ConfigError("at least one bath mode is required")
     # refuse an over-cap space before allocating anything of length n_modes:
     # the product stops at the cap, so a huge n_modes costs nothing
     dim = 2
@@ -194,7 +195,7 @@ def ohmic_mode_config(n_modes: int = 2, n_max: int = 6, coupling: float = 1.0,
     g2 = g_mag * np.exp(-1j * w * s)
     return TruncatedBathConfig(
         mode_freqs=tuple(w), g_site1=tuple(g1), g_site2=tuple(g2),
-        n_max=n_max, j_hop=j_hop, epsilon_onsite=epsilon_onsite,
+        n_max=n_max, j_hop=j_hop,
     )
 
 

@@ -75,7 +75,18 @@ class TestParseConfig:
     def test_empty_list_rejected(self, key):
         # an empty list would echo as "key = ", which does not parse back
         with pytest.raises(ConfigError, match=key):
-            replace(cli.parse_config(), **{key: ()}).validate()
+            replace(cli.parse_config(), **{key: ()})
+
+    @pytest.mark.parametrize("changes", [
+        {"s_values": (1.0, -1.0)}, {"lambda_values": (-0.5,)},
+        {"s": -1.0}, {"lambda_g": -0.5}, {"cycles": (4, 0)}, {"total_time": 0.0},
+        {"s_values": (1.0, 1.0)}, {"lambda_values": (0.5, 0.5000000001)},
+    ])
+    def test_replace_rechecks(self, changes):
+        # a config checks itself when built, so dataclasses.replace (as the
+        # sweeps use it) cannot make an invalid one either
+        with pytest.raises(ConfigError):
+            replace(cli.parse_config(mode="sweep-s"), **changes)
 
     def test_env_default_out_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path / "envout"))
@@ -402,9 +413,41 @@ class TestMain:
 
     def test_oversized_oracle_refused_before_allocating(self):
         # at 2**40 modes, building any array of the mode count would fail
-        cfg = cli.ExperimentConfig(mode="oracle-compare", n_modes=2**40, n_max=1)
         with pytest.raises(ConfigError, match="exceeds cap"):
-            cfg.validate()
+            cli.ExperimentConfig(mode="oracle-compare", n_modes=2**40, n_max=1)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["effective-hopping", "--s=-1", "--lambda=-0.5"], "must be >= 0, got -"),
+        (["sweep-s", "--s=-1,10"], "s must be >= 0, got -1.0"),
+        (["sweep-lambda", "--lambda=-1,1"], "lambda_g must be >= 0, got -1.0"),
+        (["oracle-compare", "--modes", "0"], "at least one bath mode is required"),
+        (["bangbang", "--cycles", "4,0"], "cycles must be >= 1, got 0"),
+    ])
+    def test_out_of_range_refused_before_echo(self, tmp_path, capsys, argv, message):
+        # list values are checked like scalars, before anything is written
+        code = cli.main(argv + ["--out", str(tmp_path)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert message in record["message"]
+        assert not (tmp_path / "config_echo.cfg").exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["sweep-s", "--s=1,1"], "s_values"),
+        (["sweep-s", "--s=1,1.0000000001"], "s_values"),
+        (["sweep-lambda", "--lambda=2,0.5,2.0"], "lambda_values"),
+        (["effective-hopping", "--lambda=0.5,0.5"], "lambda_values"),
+        (["effective-hopping", "--s=10,10.0"], "s_values"),
+    ])
+    def test_repeated_sweep_value_refused(self, tmp_path, capsys, argv, key):
+        # two values that print alike would share one column tag, and the
+        # SVG would draw one series for both
+        code = cli.main(argv + ["--out", str(tmp_path)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert f"{key} repeats a value" in record["message"]
+        assert not (tmp_path / "config_echo.cfg").exists()
 
     @pytest.mark.parametrize("verb", ["oracle-compare", "bangbang"])
     def test_oversized_oracle_exit_code(self, tmp_path, capsys, verb):

@@ -9,7 +9,9 @@ from polaron_deco import (
     ConfigError,
     DensityMatrixST,
     NumericalError,
+    PositivityError,
     TimeGrid,
+    Trajectory,
 )
 from polaron_deco.dynamics import _rk4_run
 from conftest import fig2_state
@@ -219,6 +221,40 @@ class TestObservables:
         assert len(lines) == len(table_s1.grid) + 1
         first = lines[1].split(",")
         assert float(first[1]) == pytest.approx(2 / 3, abs=1e-9)
+
+
+class TestTrajectoryConstruction:
+    # a Trajectory checks its states when it is built; no producer has to
+    @staticmethod
+    def parts(n=5):
+        grid = TimeGrid(t_max=(n - 1) * 0.5, dt=0.5)
+        return grid, np.full(n, 0.6), np.full(n, 0.4), np.full(n, 0.3 + 0.1j)
+
+    def test_valid_states_build(self):
+        grid, rho_ss, rho_tt, rho_st = self.parts()
+        traj = Trajectory(grid=grid, rho_ss=rho_ss, rho_tt=rho_tt, rho_st=rho_st)
+        assert traj.coherence_normalized and np.all(traj.coherence == 1.0)
+
+    @pytest.mark.parametrize("name", ["rho_ss", "rho_tt", "rho_st"])
+    def test_non_finite_entry_refused(self, name):
+        grid, *arrays = self.parts()
+        values = dict(zip(("rho_ss", "rho_tt", "rho_st"), arrays))
+        values[name][3] = np.nan
+        with pytest.raises(NumericalError, match="non-finite state first at t=1.5"):
+            Trajectory(grid=grid, **values)
+
+    def test_trace_off_refused(self):
+        grid, rho_ss, rho_tt, rho_st = self.parts()
+        rho_tt[2] += 10 * pd.dynamics.TRACE_TOL
+        with pytest.raises(PositivityError, match="trace error"):
+            Trajectory(grid=grid, rho_ss=rho_ss, rho_tt=rho_tt, rho_st=rho_st)
+
+    def test_negative_eigenvalue_refused(self):
+        grid, rho_ss, rho_tt, rho_st = self.parts()
+        rho_st[2:] = 0.6  # |rho_st|^2 > rho_ss * rho_tt from t = 1 on
+        with pytest.raises(PositivityError, match="negative eigenvalue") as info:
+            Trajectory(grid=grid, rho_ss=rho_ss, rho_tt=rho_tt, rho_st=rho_st)
+        assert info.value.t_first == 1.0
 
 
 class TestLambShift:

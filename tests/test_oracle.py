@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,6 +95,12 @@ class TestConfig:
         # 2**40 modes would not fit in memory as an array of frequencies
         with pytest.raises(ConfigError, match=rf"2\*{n_max + 1}\*\*{n_modes} exceeds cap"):
             ohmic_mode_config(n_modes=n_modes, n_max=n_max)
+
+    @pytest.mark.parametrize("n_modes", [0, -3])
+    def test_ohmic_needs_a_mode(self, n_modes):
+        # refused before the band width OMEGA_MAX / n_modes is computed
+        with pytest.raises(ConfigError, match="at least one bath mode is required"):
+            pd.ohmic_mode_config(n_modes=n_modes)
 
     def test_positive_frequencies(self):
         with pytest.raises(ConfigError):
@@ -853,7 +860,8 @@ class TestChunkedReduction:
 # the lab basis
 FRAME_CONFIGS = {
     "ohmic-s-pi": lambda: ohmic_mode_config(n_modes=2, n_max=3),
-    "ohmic-s-2": lambda: ohmic_mode_config(n_modes=2, n_max=3, s=2.0, epsilon_onsite=0.3),
+    "ohmic-s-2": lambda: replace(ohmic_mode_config(n_modes=2, n_max=3, s=2.0),
+                                 epsilon_onsite=0.3),
     "ohmic-3x3": lambda: ohmic_mode_config(n_modes=3, n_max=3, coupling=0.5, s=1.3),
     "ohmic-1x10": lambda: ohmic_mode_config(n_modes=1, n_max=10, coupling=2.0, s=0.7),
     "both-phases": lambda: TruncatedBathConfig(
