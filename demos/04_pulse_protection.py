@@ -22,7 +22,7 @@ import numpy as np
 
 from polaron_deco import DensityMatrixST, PulseSchedule, run_bangbang
 from polaron_deco.oracle import ohmic_mode_config
-from polaron_deco.output import ensure_dir, write_svg
+from polaron_deco.output import ensure_dir, write_csv, write_svg
 
 out_dir = ensure_dir(os.path.join(os.path.dirname(__file__), "out",
                                   "04_pulse_protection"))
@@ -32,7 +32,7 @@ schedules = [PulseSchedule(total_time=4.0, cycles=n) for n in (4, 8, 16, 32, 64)
 
 cfg = ohmic_mode_config()  # s = pi: symmetric coupling cancels
 report = run_bangbang(cfg, rho0, schedules)
-report.to_csv(os.path.join(out_dir, "scaling.csv"))
+write_csv(os.path.join(out_dir, "scaling.csv"), *report.table())
 
 print("default bath (omega*s = pi mod 2pi for every mode)")
 print(f"{'N':>4} {'delta_t':>9} {'D pulsed':>11} {'D free':>9}")

@@ -21,7 +21,6 @@ from .dynamics import (
     Trajectory,
     evolve_closed_form,
     evolve_ode,
-    lamb_shift_vanishes,
 )
 from .errors import (
     ConfigError,
@@ -47,7 +46,6 @@ from .oracle import (
     lang_firsov_check,
     ohmic_mode_config,
     run_bangbang,
-    trace_distance,
 )
 from .rates import RateTable, build_rate_table, build_rate_table_from_kernels, rate_at
 

@@ -74,6 +74,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         keys = _keys(self.mode)  # refuses an unknown mode
+        # a library caller may pass lists; the checks and the echo take tuples
+        for key in ("s_values", "lambda_values", "cycles"):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
         for f in fields(self):
             val = getattr(self, f.name)
             if any(isinstance(v, float) and not math.isfinite(v)
@@ -82,10 +85,13 @@ class ExperimentConfig:
         self.initial_state()
         # the library types hold the rules: lambda_g >= 0 and s >= 0 for
         # every scalar and list value, cycles >= 1 and total_time > 0
-        for lam in (self.lambda_g,) + self.lambda_values:
-            bath.BathModel(lambda_g=lam)
-        for s in (self.s,) + self.s_values:
-            bath.BathModel(s=s)
+        for key, list_key in _LIST_OF.items():
+            bath.BathModel(**{key: getattr(self, key)})
+            for v in getattr(self, list_key):
+                try:
+                    bath.BathModel(**{key: v})
+                except ConfigError as exc:
+                    raise ConfigError(f"in {list_key}: {exc}") from None
         self.grid()
         if self.n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")

@@ -22,7 +22,7 @@ Two independent evolution routes are provided and must agree:
 The symmetric part of the coherence (Re rho_TS) decays with G1 and the
 antisymmetric part (Im rho_TS) with G2; the rate-free beta(t) term enters
 only through a commutator with n1(1-n2) + n2(1-n1), which is the identity
-on the single-particle sector, see lamb_shift_vanishes.
+on the single-particle sector, so it drops out of these equations.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "Trajectory",
     "evolve_ode",
     "evolve_closed_form",
-    "lamb_shift_vanishes",
     "trajectory_from_matrices",
 ]
 
@@ -195,7 +194,7 @@ def _closed_form_arrays(rho0: DensityMatrixST, rates: RateTable):
 
 
 def evolve_closed_form(rho0: DensityMatrixST, rates: RateTable) -> Trajectory:
-    """Exact solution on the rate grid, using the stored running integrals."""
+    """Exact solution on the rate grid, from the running integrals of G0-G2."""
     rho_ss, rho_tt, rho_st = _closed_form_arrays(rho0, rates)
     return Trajectory(grid=rates.grid, rho_ss=rho_ss, rho_tt=rho_tt, rho_st=rho_st)
 
@@ -243,46 +242,3 @@ def evolve_ode(rho0: DensityMatrixST, rates: RateTable) -> Trajectory:
     return Trajectory(grid=rates.grid, rho_ss=out[:, 0], rho_tt=1.0 - out[:, 0],
                       rho_st=rho_st)
 
-
-@dataclass(frozen=True)
-class LambShiftReport:
-    operator: np.ndarray
-    identity_deviation: float
-    max_commutator_entry: float
-
-    @property
-    def vanishes(self) -> bool:
-        return self.identity_deviation < 1e-15 and self.max_commutator_entry < 1e-15
-
-
-def lamb_shift_vanishes(n_random_states: int = 8, seed: int = 7) -> LambShiftReport:
-    """Show by evaluation that the beta(t) commutator term is inert.
-
-    The operator n1(1-n2) + n2(1-n1) restricted to the single-particle
-    states |10>, |01> is the 2x2 identity, so its commutator with any
-    density matrix vanishes entrywise. Checked against fixed and random
-    Hermitian unit-trace states.
-    """
-    # single-particle basis |10>, |01>: n1 -> diag(1, 0), n2 -> diag(0, 1)
-    n1 = np.diag([1.0, 0.0])
-    n2 = np.diag([0.0, 1.0])
-    eye = np.eye(2)
-    op = n1 @ (eye - n2) + n2 @ (eye - n1)
-    identity_dev = float(np.max(np.abs(op - eye)))
-
-    states = [
-        DensityMatrixST.from_parts(2.0 / 3.0, np.sqrt(2.0) / 3.0).matrix(),
-        DensityMatrixST.maximally_mixed().matrix(),
-    ]
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random_states):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rho = a @ a.conj().T
-        states.append(rho / np.trace(rho).real)
-
-    worst = 0.0
-    for rho in states:
-        comm = op @ rho - rho @ op
-        worst = max(worst, float(np.max(np.abs(comm))))
-    return LambShiftReport(operator=op, identity_deviation=identity_dev,
-                           max_commutator_entry=worst)

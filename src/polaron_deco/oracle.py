@@ -21,9 +21,8 @@ in the lab (site) basis, applied through its bands, with no eigenbasis. A
 time series from one state (exact_decoherence_reference) is propagated and
 reduced to 2x2 states in slices of at most CHUNK time points, and the
 series terms are held in blocks of at most CHUNK, so only O(CHUNK x dim)
-amplitudes are ever held. Pulse trains (run_bangbang) stack the branch
-rows of every schedule and advance them in lockstep, one series per half
-cycle over the rows still active, each row by its own delta_t; the pi
+amplitudes are ever held. Pulse trains (run_bangbang) run one schedule
+at a time, one series per half cycle on the branch rows of rho0; the pi
 pulse is the site swap. The displacement check (lang_firsov_check) needs
 only exp(-S) applied to vacuum states, which the same series gives on the
 Hermitian -iS at tau = 1. The tests hold the series to eigendecompositions
@@ -60,7 +59,6 @@ __all__ = [
     "run_bangbang",
     "exact_decoherence_reference",
     "compare_with_master_equation",
-    "trace_distance",
 ]
 
 # largest Hilbert dimension TruncatedBathConfig accepts
@@ -389,33 +387,20 @@ class ChebyshevPropagator:
             if k % CHUNK == len(block) - 1 or k == n_terms - 1:
                 yield k - k % CHUNK, block[:k % CHUNK + 1]
 
-    def coefficients(self, tau) -> np.ndarray:
-        """Series coefficients of exp(-i H tau), one row per entry of the 1-d
-        tau, with as many terms as the largest radius * tau needs."""
-        tau = np.asarray(tau, dtype=float)
-        x = self.radius * tau
-        coef = _bessel_coefficients(x, _series_length(float(np.max(x))))
-        return coef * np.exp(-1j * self.center * tau)[:, None]
-
     def evolve(self, psi: np.ndarray, tau) -> np.ndarray:
         """exp(-i H tau) psi for every tau, shape np.shape(tau) + psi.shape:
-        one Chebyshev series, summed by one product per block of terms."""
+        one Chebyshev series with as many terms as the largest radius * tau
+        needs, summed by one product per block of terms. psi may be a stack
+        of states along its leading axes."""
         psi = np.asarray(psi, dtype=complex)
         tau = np.asarray(tau, dtype=float)
-        coef = self.coefficients(tau.ravel())
+        x = self.radius * tau.ravel()
+        coef = _bessel_coefficients(x, _series_length(float(np.max(x))))
+        coef = coef * np.exp(-1j * self.center * tau.ravel())[:, None]
         out = np.zeros((len(coef), psi.size), dtype=complex)
         for k0, block in self._chebyshev_blocks(psi, coef.shape[1]):
             out += coef[:, k0:k0 + len(block)] @ block.reshape(len(block), -1)
         return out.reshape(tau.shape + psi.shape)
-
-    def evolve_rows(self, psi: np.ndarray, coef: np.ndarray) -> np.ndarray:
-        """exp(-i H tau_r) psi_r for every row r of the 2-d psi, each by its
-        own tau_r, given coef = coefficients(tau): one series for all rows."""
-        psi = np.asarray(psi, dtype=complex)
-        out = np.zeros_like(psi)
-        for k0, block in self._chebyshev_blocks(psi, coef.shape[1]):
-            out += np.einsum("rk,krd->rd", coef[:, k0:k0 + len(block)], block)
-        return out
 
     def series(self, psi: np.ndarray, t):
         """Yield (ts, exp(-i H (ts - t[0])) psi) over consecutive equal slices
@@ -574,7 +559,7 @@ def _vacuum_state(site_amps, bath_dim: int) -> np.ndarray:
     return vec
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+def _trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """(1/2) * sum |eigenvalues(rho - sigma)| for Hermitian arguments."""
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
 
@@ -662,11 +647,6 @@ class BangBangReport:
              f"T={format_number(self.total_time)}"],
         )
 
-    def to_csv(self, path):
-        from .output import write_csv
-
-        write_csv(path, *self.table())
-
 
 def run_bangbang(config: TruncatedBathConfig, rho0: DensityMatrixST,
                  schedules) -> BangBangReport:
@@ -676,12 +656,9 @@ def run_bangbang(config: TruncatedBathConfig, rho0: DensityMatrixST,
     (the pulse Pi acts first) and, once for all schedules, freely for the
     same total time; both reduced states are compared to rho0 after undoing
     the ideal rotation.
-    All schedules run in lockstep: their branch rows are stacked, longest
-    schedule first, and every half cycle swaps the sites of the rows that
-    still have steps left and advances them by one Chebyshev series, each
-    row by its own dt (ChebyshevPropagator.evolve_rows). So a run takes
-    2 * max(N) series rather than 2 * sum(N), and the series coefficients
-    are built once per active-row count.
+    Each schedule runs on its own from the branch rows of rho0: every half
+    cycle swaps the sites and advances all rows by one Chebyshev series
+    over dt, so a schedule of N cycles takes 2 N series.
     The cost grows with radius * total_time (a series over dt has about
     radius * dt terms), where an eigendecomposition would cost one fixed
     dim^3; at the CLI default T = 4 the series is the faster of the two.
@@ -710,26 +687,17 @@ def run_bangbang(config: TruncatedBathConfig, rho0: DensityMatrixST,
 
     def distance(psi):
         rho = sum(p * r for (p, _), r in zip(branches, _reduced_st_series(psi)))
-        return trace_distance(undo[:, None] * rho * undo.conj(), rho0_matrix)
+        return _trace_distance(undo[:, None] * rho * undo.conj(), rho0_matrix)
 
     distance_free = distance(prop.evolve(psi0, total_time))
-    # one block of branch rows per schedule, longest first, so the rows that
-    # still take a half cycle at step k are always a prefix
-    schedules.sort(key=lambda s: -s.cycles)
-    nb = len(psi0)
-    psi = np.tile(psi0, (len(schedules), 1))
-    delta_t = np.repeat([s.delta_t for s in schedules], nb)
-    half_cycles = np.repeat([2 * s.cycles for s in schedules], nb)
-    coef = None
-    for k in range(half_cycles[0]):
-        n = np.count_nonzero(half_cycles > k)
-        if coef is None or len(coef) != n:  # once per active-row count
-            coef = prop.coefficients(delta_t[:n])
-        psi[:n] = prop.evolve_rows(_site_swap(psi[:n]), coef)
-    results = [BangBangResult(
-        delta_t=s.delta_t, n_cycles=s.cycles, distance_free=distance_free,
-        distance_pulsed=distance(psi[i * nb:(i + 1) * nb]),
-    ) for i, s in enumerate(schedules)]
+    results = []
+    for sched in schedules:
+        psi = psi0
+        for _ in range(2 * sched.cycles):
+            psi = prop.evolve(_site_swap(psi), sched.delta_t)
+        results.append(BangBangResult(
+            delta_t=sched.delta_t, n_cycles=sched.cycles,
+            distance_pulsed=distance(psi), distance_free=distance_free))
     results.sort(key=lambda r: r.delta_t)
 
     slope = None

@@ -7,13 +7,14 @@ single integrals over the elapsed-time variable u = t - tau:
 
 where Jt is the dressed hopping. The second-order expansion also yields a
 Lamb-shift rate beta(t) = 2 Jt^2 int_0^t e^{K_c(u)} sin(K_s(u)) du, but it
-multiplies a commutator that vanishes on the single-particle sector
-(dynamics.lamb_shift_vanishes), so it is not computed. The composite rates are stored redundantly
-as definitions,
+multiplies a commutator with n1(1-n2) + n2(1-n1), which is the identity on
+the single-particle sector, so it vanishes and beta(t) is not computed. A
+RateTable stores gamma_+- only; the composite rates are derived from them
+by their definitions,
 
     G0 = (2 gamma_+ - gamma_-)/2,  G1 = 2 gamma_+ + gamma_-,  G2 = 4 gamma_+,
 
-together with their running integrals, which is all the dynamics module
+and so are their running integrals, which is all the dynamics module
 needs. gamma_+ >= gamma_- is typical but not guaranteed once cos(K_s)
 changes sign, so it is not asserted here.
 """
@@ -33,6 +34,7 @@ __all__ = ["RateTable", "build_rate_table", "build_rate_table_from_kernels", "ra
 
 log = logging.getLogger(__name__)
 
+# the columns rate_at interpolates: the stored gamma_+- and the derived rates
 RATE_FIELDS = (
     "gamma_plus", "gamma_minus",
     "cap_gamma0", "cap_gamma1", "cap_gamma2",
@@ -42,24 +44,45 @@ RATE_FIELDS = (
 
 @dataclass(frozen=True)
 class RateTable:
+    """gamma_+-(t) on a grid; the composite rates G0-G2 and their running
+    integrals are computed from them on each access."""
+
     grid: TimeGrid
     j_tilde: float
     gamma_plus: np.ndarray
     gamma_minus: np.ndarray
-    cap_gamma0: np.ndarray
-    cap_gamma1: np.ndarray
-    cap_gamma2: np.ndarray
-    cum_gamma0: np.ndarray
-    cum_gamma1: np.ndarray
-    cum_gamma2: np.ndarray
 
     def __post_init__(self):
-        for name in RATE_FIELDS:
+        for name in ("gamma_plus", "gamma_minus"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != self.grid.points.shape:
                 raise ConfigError(f"{name} length does not match grid")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def cap_gamma0(self) -> np.ndarray:
+        return 0.5 * (2.0 * self.gamma_plus - self.gamma_minus)
+
+    @property
+    def cap_gamma1(self) -> np.ndarray:
+        return 2.0 * self.gamma_plus + self.gamma_minus
+
+    @property
+    def cap_gamma2(self) -> np.ndarray:
+        return 4.0 * self.gamma_plus
+
+    @property
+    def cum_gamma0(self) -> np.ndarray:
+        return cumulative_trapezoid(self.cap_gamma0, self.grid)
+
+    @property
+    def cum_gamma1(self) -> np.ndarray:
+        return cumulative_trapezoid(self.cap_gamma1, self.grid)
+
+    @property
+    def cum_gamma2(self) -> np.ndarray:
+        return cumulative_trapezoid(self.cap_gamma2, self.grid)
 
 
 def build_rate_table_from_kernels(kernels: KernelTable, j_hop: float,
@@ -89,23 +112,8 @@ def build_rate_table_from_kernels(kernels: KernelTable, j_hop: float,
             grid.points[crossings[0]],
             float(np.min(gamma_plus - gamma_minus)),
         )
-
-    cap0 = 0.5 * (2.0 * gamma_plus - gamma_minus)
-    cap1 = 2.0 * gamma_plus + gamma_minus
-    cap2 = 4.0 * gamma_plus
-
-    return RateTable(
-        grid=grid,
-        j_tilde=j_tilde,
-        gamma_plus=gamma_plus,
-        gamma_minus=gamma_minus,
-        cap_gamma0=cap0,
-        cap_gamma1=cap1,
-        cap_gamma2=cap2,
-        cum_gamma0=cumulative_trapezoid(cap0, grid),
-        cum_gamma1=cumulative_trapezoid(cap1, grid),
-        cum_gamma2=cumulative_trapezoid(cap2, grid),
-    )
+    return RateTable(grid=grid, j_tilde=j_tilde, gamma_plus=gamma_plus,
+                     gamma_minus=gamma_minus)
 
 
 def build_rate_table(model: BathModel, j_hop: float, grid: TimeGrid) -> RateTable:
@@ -120,8 +128,9 @@ def build_rate_table(model: BathModel, j_hop: float, grid: TimeGrid) -> RateTabl
 
 
 def rate_at(table: RateTable, t, which: str):
-    """Linear interpolation of a stored rate column at a time (returns a float)
-    or an array of times (returns an array); exact at grid points."""
+    """Linear interpolation of a rate column (RATE_FIELDS) at a time
+    (returns a float) or an array of times (returns an array); exact at
+    grid points."""
     if which not in RATE_FIELDS:
         raise ConfigError(f"unknown rate selector {which!r}")
     pts = table.grid.points

@@ -2,8 +2,8 @@
 matrices from tests/kron_reference.py instead of the bands and Chebyshev
 series of polaron_deco.oracle.
 
-oracle.run_bangbang advances every pulse schedule in lockstep by Chebyshev
-series; serial_bangbang runs one schedule after another on the eigen-
+oracle.run_bangbang advances each pulse schedule by one Chebyshev series
+per half cycle; serial_bangbang runs each schedule on the eigen-
 coefficients of the Kronecker-built H. oracle.exact_decoherence_reference
 sums a Chebyshev series per slice of oracle.CHUNK points; one_block_rho
 applies the eigendecomposition to the whole time grid as one amplitude
@@ -22,8 +22,8 @@ from polaron_deco.oracle import (
     _reduced_st_series,
     _require_hermitian,
     _site_swap,
+    _trace_distance,
     _vacuum_state,
-    trace_distance,
 )
 from kron_reference import kron_generator, kron_hamiltonian
 
@@ -72,7 +72,7 @@ def serial_bangbang(config, rho0, schedules):
 
     def distance(psi):
         rho = sum(p * r for (p, _), r in zip(branches, _reduced_st_series(psi)))
-        return trace_distance(undo[:, None] * rho * undo.conj(), rho0.matrix())
+        return _trace_distance(undo[:, None] * rho * undo.conj(), rho0.matrix())
 
     distance_free = distance(prop.evolve(psi0, total_time))
     c0 = prop.coefficients(psi0)

@@ -88,6 +88,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             replace(cli.parse_config(mode="sweep-s"), **changes)
 
+    @pytest.mark.parametrize("mode, lists", [
+        ("sweep-s", {"s_values": [1.0, 2.0]}),
+        ("effective-hopping", {"s_values": [1.0], "lambda_values": [0.5, 2.0]}),
+        ("bangbang", {"cycles": [4, 8]}),
+    ])
+    def test_list_fields_become_tuples(self, tmp_path, mode, lists):
+        # a library caller may pass Python lists; they are stored as tuples,
+        # and the echo parses back to an equal config
+        cfg = cli.ExperimentConfig(mode=mode, out_dir=str(tmp_path), **lists)
+        for key, values in lists.items():
+            assert getattr(cfg, key) == tuple(values)
+        cli.write_config_echo(cfg, tmp_path / "echo.cfg")
+        assert cli.parse_config(file_text=(tmp_path / "echo.cfg").read_text()) == cfg
+
     def test_env_default_out_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path / "envout"))
         cfg = cli.parse_config()
@@ -422,6 +436,10 @@ class TestMain:
         (["sweep-lambda", "--lambda=-1,1"], "lambda_g must be >= 0, got -1.0"),
         (["oracle-compare", "--modes", "0"], "at least one bath mode is required"),
         (["bangbang", "--cycles", "4,0"], "cycles must be >= 1, got 0"),
+        # a refused list value names the list the verb reads
+        (["sweep-s", "--s=-1,10"], "in s_values: s must be >= 0, got -1.0"),
+        (["sweep-lambda", "--lambda=-1,1"], "in lambda_values: lambda_g must be >= 0"),
+        (["effective-hopping", "--s=1,-2"], "in s_values: s must be >= 0, got -2.0"),
     ])
     def test_out_of_range_refused_before_echo(self, tmp_path, capsys, argv, message):
         # list values are checked like scalars, before anything is written

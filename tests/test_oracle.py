@@ -19,11 +19,14 @@ from polaron_deco import (
     TruncatedBathConfig,
 )
 from polaron_deco.dynamics import trajectory_from_matrices
+from polaron_deco.output import write_csv
 from polaron_deco.oracle import (
     CHUNK,
     _ST_FROM_SITE,
     BandedOperator,
+    _ideal_rotation,
     _site_swap,
+    _trace_distance,
     _vacuum_state,
     lang_firsov_generator,
     ohmic_mode_config,
@@ -363,13 +366,12 @@ class TestExactEvolution:
         assert np.max(np.abs(both[1] - one)) < 1e-12
 
     def test_norm_drift_over_many_steps(self):
-        # the lockstep route: one coefficient row reused for every step
+        # the pulse-train route: one short series after another
         cfg = single_mode(n_max=3)
         prop = oracle.ChebyshevPropagator(pd.build_hamiltonian(cfg))
         psi = _vacuum_state([[1.0, 0.0]], cfg.bath_dim)
-        coef = prop.coefficients([0.01])
         for _ in range(10_000):
-            psi = prop.evolve_rows(psi, coef)
+            psi = prop.evolve(psi, 0.01)
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
 
     def test_norm_validation(self):
@@ -469,21 +471,6 @@ class TestChebyshev:
         assert states.shape == (len(t), 2, cfg.dim)
         assert np.max(np.abs(states - Propagator(kron_hamiltonian(cfg)).evolve(psi, t))) <= 1e-12
 
-    @pytest.mark.parametrize("name", ["real-s-2", "lab-asymmetric"])
-    def test_evolve_rows_matches_propagator(self, name):
-        # each row by its own tau, one of them longer than SPAN_CAP / radius
-        cfg = LOCKSTEP_CONFIGS[name]()
-        cheb = oracle.ChebyshevPropagator(pd.build_hamiltonian(cfg))
-        psi = _vacuum_state([[0.6, 0.8j], [1.0, 0.0], [0.0, 1.0]], cfg.bath_dim)
-        tau = np.array([0.3, 0.0, 2.0 * oracle.SPAN_CAP / cheb.radius])
-        coef = cheb.coefficients(tau)
-        assert coef.shape == (3, oracle._series_length(cheb.radius * tau[2]))
-        assert coef.shape[1] > CHUNK
-        out = cheb.evolve_rows(psi, coef)
-        ref = Propagator(kron_hamiltonian(cfg))
-        for row, t in enumerate(tau):
-            assert np.max(np.abs(out[row] - ref.evolve(psi[row], t))) <= 1e-12
-
 
 class TestPulse:
     def test_site_swap(self):
@@ -524,12 +511,12 @@ class TestPulse:
 class TestTraceDistance:
     def test_identical_states(self):
         rho = fig2_state().matrix()
-        assert pd.trace_distance(rho, rho) == 0.0
+        assert _trace_distance(rho, rho) == 0.0
 
     def test_orthogonal_pure_states(self):
         a = np.diag([1.0, 0.0]).astype(complex)
         b = np.diag([0.0, 1.0]).astype(complex)
-        assert pd.trace_distance(a, b) == pytest.approx(1.0, abs=1e-14)
+        assert _trace_distance(a, b) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestBangBang:
@@ -597,7 +584,7 @@ class TestBangBang:
             full = u @ full0 @ u.conj().T
             rho_site = np.trace(full.reshape(2, db, 2, db), axis1=1, axis2=3)
             rho = undo @ _ST_FROM_SITE @ rho_site @ _ST_FROM_SITE.conj().T @ undo.conj().T
-            return pd.trace_distance(rho, rho0.matrix())
+            return _trace_distance(rho, rho0.matrix())
 
         u_dt = expm(-1j * ham * total / (2 * cycles))
         pulsed = np.linalg.matrix_power(u_dt @ swap @ u_dt @ swap, cycles)
@@ -616,7 +603,7 @@ class TestBangBang:
                                  [PulseSchedule(4.0, n) for n in (4, 8, 16, 32, 64)])
         assert max(r.distance_pulsed for r in report.results) < 1e-12
         assert report.fitted_slope is None
-        report.to_csv(tmp_path / "bb.csv")
+        write_csv(tmp_path / "bb.csv", *report.table())
         rows = (tmp_path / "bb.csv").read_text().splitlines()[2:]
         assert len(rows) == 5 and all(row.endswith(",nan") for row in rows)
 
@@ -631,7 +618,7 @@ class TestBangBang:
         report = pd.run_bangbang(cfg, fig2_state(),
                                  [PulseSchedule(2.0, n) for n in (2, 4, 8)])
         path = tmp_path / "bb.csv"
-        report.to_csv(path)
+        write_csv(path, *report.table())
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# config:")
         assert lines[1].split(",")[:4] == ["delta_t", "n_cycles",
@@ -640,7 +627,7 @@ class TestBangBang:
         assert len(lines) == 2 + 3
 
 
-# configs for the lockstep and chunking checks: "real-*" have |g_1k| = |g_2k|
+# configs for the pulse-train and chunking checks: "real-*" have |g_1k| = |g_2k|
 # (ohmic_mode_config), "lab-*" have |g_1k| != |g_2k|; the oracle propagates
 # both alike, in the lab basis.
 LOCKSTEP_CONFIGS = {
@@ -676,8 +663,8 @@ class TestLockstep:
         report = pd.run_bangbang(cfg, rho0, schedules)
         reference = serial_bangbang(cfg, rho0, schedules)
         assert [r.n_cycles for r in report.results] == sorted(cycles, reverse=True)
-        # Chebyshev series in lockstep against eigen-coefficients one schedule
-        # at a time: two routes, so agreement to rounding, not bit for bit
+        # Chebyshev series against eigen-coefficients, one schedule at a
+        # time: two routes, so agreement to rounding, not bit for bit
         for row, ref in zip(report.results, reference):
             assert (row.delta_t, row.n_cycles) == (ref.delta_t, ref.n_cycles)
             assert abs(row.distance_free - ref.distance_free) <= 1e-12
@@ -692,32 +679,28 @@ class TestLockstep:
         radius = oracle.ChebyshevPropagator(pd.build_hamiltonian(cfg)).radius
         step = oracle.ChebyshevPropagator._step
         bessel = oracle._bessel_coefficients
-        rows, coefficient_rows = [], []
+        rows, series_x = [], []
 
         def counting(self, x, out):
             rows.append(len(x))
             return step(self, x, out)
 
         def counting_bessel(x, n_terms):
-            coefficient_rows.append(len(x))
+            series_x.extend(x)
             return bessel(x, n_terms)
 
         monkeypatch.setattr(oracle.ChebyshevPropagator, "_step", counting)
         monkeypatch.setattr(oracle, "_bessel_coefficients", counting_bessel)
         pd.run_bangbang(cfg, rho0, [PulseSchedule(4.0, n) for n in cycles])
-        # coefficients once for the free evolution, then once per active-row count
-        row_counts = sorted({nb * sum(n >= m for n in cycles) for m in cycles}, reverse=True)
-        assert coefficient_rows == [1] + row_counts
-        # the free evolution over T, then one recurrence per half cycle of the
-        # longest schedule over the rows whose schedule still has steps left;
-        # a series of L terms takes L - 1 steps
-        expected = [nb] * (oracle._series_length(radius * 4.0) - 1)
-        for k in range(2 * max(cycles)):
-            active = [n for n in cycles if 2 * n > k]
-            length = oracle._series_length(radius * (4.0 / (2 * min(active))))
-            expected += [nb * len(active)] * (length - 1)
-        assert rows == expected
-        assert rows[-1] == nb * cycles.count(max(cycles))
+        # one series over T for the free evolution, then the schedules in
+        # their given order, each with one series over its own dt per half cycle
+        expected_x = [radius * 4.0]
+        for n in cycles:
+            expected_x += [radius * (4.0 / (2 * n))] * (2 * n)
+        assert series_x == expected_x
+        # a series of L terms takes L - 1 recurrence steps, each on the
+        # branch rows of rho0 alone
+        assert rows == [nb] * sum(oracle._series_length(x) - 1 for x in expected_x)
 
     @pytest.mark.parametrize("state", list(LOCKSTEP_STATES))
     def test_long_half_cycle_matches_complex_route(self, state):
@@ -908,8 +891,8 @@ class _ComplexReference:
     def bangbang(self, rho0, total, cycles):
         u_dt = self.unitary(total / (2 * cycles))
         pulsed = np.linalg.matrix_power(u_dt @ self.swap @ u_dt @ self.swap, cycles)
-        return (pd.trace_distance(self.reduced(pulsed, rho0, total), rho0.matrix()),
-                pd.trace_distance(self.reduced(self.unitary(total), rho0, total),
+        return (_trace_distance(self.reduced(pulsed, rho0, total), rho0.matrix()),
+                _trace_distance(self.reduced(self.unitary(total), rho0, total),
                                   rho0.matrix()))
 
 
@@ -1006,6 +989,60 @@ class TestDiagonalInitialState:
         assert not traj.coherence_normalized
         # raw |rho_ST|, which the bath builds up from zero only weakly
         assert float(np.max(traj.coherence)) < 0.01
+
+
+def _nearly_pure_state(eps=1e-3):
+    """(1 - 2 eps) times the fig2 state plus eps times the identity: a mixed
+    state with eigenvalues 1 - eps and eps."""
+    pure = fig2_state()
+    return DensityMatrixST.from_parts((1.0 - 2.0 * eps) * pure.rho_ss + eps,
+                                      (1.0 - 2.0 * eps) * pure.rho_st)
+
+
+def _undecomposed_rho(cfg, rho0, site_states, t):
+    """[T, S] matrices of sum_pq rho0_site[p, q] |psi_p><psi_q| reduced to the
+    qubit, with the ideal rotation over t undone. site_states[..., p, :] is
+    |p, vac> propagated, so rho0 is never split into branches."""
+    rho0_site = _ST_FROM_SITE.conj().T @ rho0.matrix() @ _ST_FROM_SITE
+    amps = site_states.reshape(*site_states.shape[:-1], 2, cfg.bath_dim)
+    rho_site = np.einsum("pq,...pam,...qbm->...ab", rho0_site, amps, amps.conj())
+    rho = np.einsum("ia,...ab,jb->...ij", _ST_FROM_SITE, rho_site, _ST_FROM_SITE.conj())
+    d = _ideal_rotation(cfg, t)
+    return d[..., :, None] * rho * d.conj()[..., None, :]
+
+
+class TestNearlyPureState:
+    # a branch of weight 1e-3 must be kept: the references below propagate
+    # both site states and never decompose rho0
+    @pytest.mark.parametrize("name", ["real-s-2", "lab-asymmetric"])
+    def test_exact_reference_keeps_small_branch(self, name):
+        cfg = LOCKSTEP_CONFIGS[name]()
+        rho0 = _nearly_pure_state()
+        grid = TimeGrid(5.0, 0.05)
+        sites = Propagator(kron_hamiltonian(cfg)).evolve(
+            _vacuum_state(np.eye(2), cfg.bath_dim), grid.points)
+        expected = _undecomposed_rho(cfg, rho0, sites, grid.points)
+        got = pd.exact_decoherence_reference(cfg, rho0, grid).trajectory
+        assert np.max(np.abs(got.rho_ss - expected[:, 1, 1].real)) <= 1e-12
+        assert np.max(np.abs(got.rho_st - expected[:, 1, 0])) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["real-s-2", "lab-asymmetric"])
+    def test_bangbang_keeps_small_branch(self, name):
+        cfg = LOCKSTEP_CONFIGS[name]()
+        rho0 = _nearly_pure_state()
+        prop = Propagator(kron_hamiltonian(cfg))
+        vacua = _vacuum_state(np.eye(2), cfg.bath_dim)
+
+        def distance(states):
+            return _trace_distance(_undecomposed_rho(cfg, rho0, states, 2.0), rho0.matrix())
+
+        report = pd.run_bangbang(cfg, rho0, [PulseSchedule(2.0, n) for n in (1, 3, 8)])
+        for row in report.results:
+            sites = vacua
+            for _ in range(2 * row.n_cycles):
+                sites = prop.evolve(_site_swap(sites), row.delta_t)
+            assert abs(row.distance_pulsed - distance(sites)) <= 1e-12
+            assert abs(row.distance_free - distance(prop.evolve(vacua, 2.0))) <= 1e-12
 
 
 class TestMasterEquationComparison:

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -54,6 +56,22 @@ class TestRateTable:
         assert np.array_equal(table_s1.cap_gamma1, 2.0 * gp + gm)
         assert np.array_equal(table_s1.cap_gamma2, 4.0 * gp)
         assert np.array_equal(table_s1.cap_gamma0, 0.5 * (2.0 * gp - gm))
+
+    def test_only_gamma_pm_stored(self, table_s1):
+        # G0-G2 and their running integrals are derived on access
+        assert [f.name for f in fields(pd.RateTable)] == [
+            "grid", "j_tilde", "gamma_plus", "gamma_minus"]
+        for k in range(3):
+            assert np.array_equal(
+                getattr(table_s1, f"cum_gamma{k}"),
+                pd.cumulative_trapezoid(getattr(table_s1, f"cap_gamma{k}"), table_s1.grid))
+
+    @pytest.mark.parametrize("name", ["gamma_plus", "gamma_minus"])
+    def test_length_checked(self, table_s1, name):
+        columns = {"gamma_plus": table_s1.gamma_plus, "gamma_minus": table_s1.gamma_minus}
+        columns[name] = columns[name][:-1]
+        with pytest.raises(ConfigError, match=f"{name} length does not match grid"):
+            pd.RateTable(grid=table_s1.grid, j_tilde=table_s1.j_tilde, **columns)
 
     def test_ode_coefficient_identities(self, table_s1):
         # the off-diagonal equation couples through (g- + 6 g+)/2 and
