@@ -5,7 +5,7 @@ a docstring (the string that opens a module, class or function body);
 blank lines and comment-only lines do not count. Prints one line per
 module and the total.
 
-Usage: python3 tools/src_lines.py [PACKAGE_DIR]   (default src/polaron_deco)
+Usage: python3 tools/src_lines.py
 """
 
 import ast
@@ -39,10 +39,12 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def main(argv) -> int:
-    package = Path(argv[1] if len(argv) > 1 else "src/polaron_deco")
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polaron_deco"
+
+
+def main() -> int:
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         n = code_lines(path.read_text(encoding="utf-8"))
         total += n
         print(f"{path.name:16} {n:6,}")
@@ -51,4 +53,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
