@@ -114,11 +114,7 @@ class KernelTable:
 
     def __post_init__(self):
         for name in ("k_cos", "k_sin"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != self.grid.points.shape:
-                raise ConfigError(f"{name} length does not match grid")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, self.grid.column(getattr(self, name), name))
 
 
 def _integrand_factory(model: BathModel, trig, tau: float):

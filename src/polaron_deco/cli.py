@@ -6,9 +6,8 @@ only key list, and the value parsers come from their defaults' types.
 ``VERBS`` is the one verb table: each verb's runner, the keys it reads
 besides ``mode``, ``out_dir`` and ``svg``, and its mode defaults. A verb
 takes a flag from the ``(flag, key, help)`` table ``_FLAGS`` only for a key
-it reads. A key it does not read, like a key that an older release accepted
-(``_REMOVED_KEYS``), is a configuration error, never ignored. An
-``ExperimentConfig`` checks itself when it is built (``dataclasses.replace``
+it reads. A key it does not read, or one no verb reads, is a configuration
+error, never ignored. An ``ExperimentConfig`` checks itself when it is built (``dataclasses.replace``
 included) by building the library types that hold the rules, with list
 values checked like scalars, and refuses a list that repeats a value.
 Every run writes the keys its verb reads next to its outputs, and
@@ -19,7 +18,8 @@ oracle-compare, selftest. Each experiment verb returns its output tables
 and does no I/O; ``run_experiment`` is the one place that writes files:
 the config echo, then ``stem.csv`` for every table and, with ``svg`` set,
 ``stem.svg`` beside it. ``selftest`` takes no flags. Exit codes: 0 ok,
-2 configuration error, 3 numerical failure, 4 invariant violation; every
+otherwise the ``exit_code`` of the library error raised (errors.py: 2
+configuration error, 3 numerical failure, 4 invariant violation); every
 failure also writes a JSON error record to stderr.
 """
 
@@ -136,15 +136,6 @@ def _field_parser(default):
 
 _KEY_PARSERS = {f.name: _field_parser(f.default) for f in fields(ExperimentConfig)}
 
-# keys older releases accepted; ignoring e.g. omega_c = 2.0 would silently
-# change the physics, so naming one is an error that says what to do instead
-_REMOVED_KEYS = {
-    "omega_c": "rescale instead: lambda_g*W^2, s*W, j_hop/W, t_max*W, dt*W",
-    "geometry_factor": "multiply it into lambda_g instead",
-    "jobs": "sweeps run in one thread; delete the line",
-    "seed": "it was never read; delete the line",
-}
-
 # a scalar and the list that a sweep reads in its place: the scalar's flag
 # sets the list on a verb that reads the list and not the scalar
 _LIST_OF = {"s": "s_values", "lambda_g": "lambda_values"}
@@ -158,8 +149,6 @@ def _keys(mode):
 
 
 def _parse_value(key, val, where):
-    if key in _REMOVED_KEYS:
-        raise ConfigError(f"{where}: key {key!r} was removed; {_REMOVED_KEYS[key]}")
     if key not in _KEY_PARSERS:
         raise ConfigError(f"{where}: unknown key {key!r}")
     try:
@@ -368,13 +357,12 @@ def run_experiment(config: ExperimentConfig):
 # Self test
 # ---------------------------------------------------------------------------
 
-def selftest(out=None) -> bool:
+def selftest() -> bool:
     """Fast internal consistency checks; prints one PASS/FAIL line each.
 
     On failure an InvariantError record naming the failed checks also goes
     to stderr, as for any other exit 4.
     """
-    out = out if out is not None else sys.stdout
     checks = []
 
     def check(name, fn):
@@ -467,7 +455,7 @@ def selftest(out=None) -> bool:
     for name, passed, detail in checks:
         status = "PASS" if passed else "FAIL"
         suffix = f" ({detail})" if detail else ""
-        print(f"SELFTEST {name}: {status}{suffix}", file=out)
+        print(f"SELFTEST {name}: {status}{suffix}")
     failed = [name for name, passed, _ in checks if not passed]
     if failed:
         print(_error_record(InvariantError(f"selftest failed: {', '.join(failed)}")),
@@ -524,7 +512,7 @@ def main(argv=None) -> int:
     flags = vars(_build_parser().parse_args(argv))
     verb, config_path = flags.pop("verb"), flags.pop("config", None)
     if verb == "selftest":
-        return 0 if selftest() else 4
+        return 0 if selftest() else InvariantError.exit_code
 
     try:
         file_text = None
@@ -538,13 +526,7 @@ def main(argv=None) -> int:
         written = run_experiment(config)
     except PolaronDecoError as exc:
         print(_error_record(exc), file=sys.stderr)
-        if isinstance(exc, ConfigError):
-            return 2
-        if isinstance(exc, NumericalError):
-            return 3
-        if isinstance(exc, InvariantError):
-            return 4
-        return 3
+        return exc.exit_code
     for path in written:
         print(path)
     return 0

@@ -49,6 +49,13 @@ POSITIVITY_TOL = 1e-8
 SELF_CHECK_TOL = 1e-8
 
 
+def _min_eigenvalues(rho_ss, rho_tt, rho_st):
+    """Smaller eigenvalue of unit-trace 2x2 states, elementwise; a state is
+    positive when it is at least -POSITIVITY_TOL."""
+    d = rho_tt - rho_ss
+    return 0.5 * (1.0 - np.sqrt(d * d + 4.0 * np.abs(rho_st) ** 2))
+
+
 @dataclass(frozen=True)
 class DensityMatrixST:
     """2x2 Hermitian unit-trace state in the singlet-triplet basis.
@@ -72,11 +79,9 @@ class DensityMatrixST:
             v = getattr(self, name)
             if v < -TRACE_TOL or v > 1.0 + TRACE_TOL:
                 raise ConfigError(f"{name}={v} outside [0, 1]")
-        if self.purity_defect() < -POSITIVITY_TOL:
+        if self.min_eigenvalue() < -POSITIVITY_TOL:
             raise ConfigError(
-                f"not positive semidefinite: rho_ss*rho_tt - |rho_st|^2 = "
-                f"{self.purity_defect()}"
-            )
+                f"not positive semidefinite: minimum eigenvalue {self.min_eigenvalue()}")
 
     @classmethod
     def from_parts(cls, rho_ss: float, rho_st: complex) -> "DensityMatrixST":
@@ -86,12 +91,8 @@ class DensityMatrixST:
     def maximally_mixed(cls) -> "DensityMatrixST":
         return cls(rho_ss=0.5, rho_tt=0.5, rho_st=0.0)
 
-    def purity_defect(self) -> float:
-        return self.rho_ss * self.rho_tt - abs(self.rho_st) ** 2
-
     def min_eigenvalue(self) -> float:
-        d = self.rho_tt - self.rho_ss
-        return 0.5 * (1.0 - np.sqrt(d * d + 4.0 * abs(self.rho_st) ** 2))
+        return float(_min_eigenvalues(self.rho_ss, self.rho_tt, self.rho_st))
 
     def matrix(self) -> np.ndarray:
         """Dense [T, S]-ordered matrix."""
@@ -125,11 +126,7 @@ class Trajectory:
 
     def __post_init__(self):
         for name, kind in (("rho_ss", float), ("rho_tt", float), ("rho_st", complex)):
-            arr = np.asarray(getattr(self, name), dtype=kind)
-            if arr.shape != self.grid.points.shape:
-                raise ConfigError(f"{name} length does not match grid")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, self.grid.column(getattr(self, name), name, kind))
         finite = np.isfinite(self.rho_ss) & np.isfinite(self.rho_tt) & np.isfinite(self.rho_st)
         if not finite.all():
             raise NumericalError(
@@ -159,8 +156,7 @@ class Trajectory:
         return float(np.max(np.abs(self.rho_ss + self.rho_tt - 1.0)))
 
     def min_eigenvalues(self) -> np.ndarray:
-        d = self.rho_tt - self.rho_ss
-        return 0.5 * (1.0 - np.sqrt(d * d + 4.0 * np.abs(self.rho_st) ** 2))
+        return _min_eigenvalues(self.rho_ss, self.rho_tt, self.rho_st)
 
     def table(self):
         """(header, columns, comments) of the trajectory's CSV."""

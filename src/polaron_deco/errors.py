@@ -1,16 +1,21 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto process exit codes: ConfigError -> 2,
-QuadratureError / NumericalError -> 3, InvariantError -> 4.
+Each class carries the process exit code the CLI returns for it, and a
+subclass inherits its parent's: ConfigError 2, NumericalError (and
+QuadratureError) 3, InvariantError (and PositivityError) 4.
 """
 
 
 class PolaronDecoError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 3
+
 
 class ConfigError(PolaronDecoError):
     """Invalid or inconsistent user configuration."""
+
+    exit_code = 2
 
 
 class NumericalError(PolaronDecoError):
@@ -23,6 +28,8 @@ class QuadratureError(NumericalError):
 
 class InvariantError(PolaronDecoError):
     """A physical invariant (trace, positivity, normalization) was violated."""
+
+    exit_code = 4
 
 
 class PositivityError(InvariantError):

@@ -64,6 +64,15 @@ class TimeGrid:
     def __len__(self) -> int:
         return len(self.points)
 
+    def column(self, values, name: str, dtype=float) -> np.ndarray:
+        """values as a read-only array with one entry per grid point; a
+        ConfigError names the column when its length differs."""
+        arr = np.asarray(values, dtype=dtype)
+        if arr.shape != self.points.shape:
+            raise ConfigError(f"{name} length does not match grid")
+        arr.setflags(write=False)
+        return arr
+
 
 # ---------------------------------------------------------------------------
 # Dawson function and its sine-transform form

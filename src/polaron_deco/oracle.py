@@ -120,8 +120,7 @@ class TruncatedBathConfig:
         object.__setattr__(self, "mode_freqs", freqs)
         object.__setattr__(self, "g_site1", g1)
         object.__setattr__(self, "g_site2", g2)
-        if self.dim > DIM_CAP:
-            raise ConfigError(f"Hilbert dimension {self.dim} exceeds cap {DIM_CAP}")
+        _check_dim(len(freqs), self.n_max)
 
     @property
     def n_modes(self) -> int:
@@ -157,6 +156,18 @@ class TruncatedBathConfig:
         return float(np.sum(2.0 * (np.conj(g1) * g2).real / np.array(self.mode_freqs)))
 
 
+def _check_dim(n_modes: int, n_max: int) -> None:
+    """ConfigError when 2 (n_max + 1)^n_modes exceeds DIM_CAP. The product
+    stops at the cap, so a huge n_modes is refused before anything of its
+    length is allocated."""
+    dim = 2
+    for _ in range(n_modes if n_max > 0 else 0):
+        dim *= n_max + 1
+        if dim > DIM_CAP:
+            raise ConfigError(f"Hilbert dimension 2*{n_max + 1}**{n_modes} "
+                              f"exceeds cap {DIM_CAP}")
+
+
 def ohmic_mode_config(n_modes: int = 2, n_max: int = 6, coupling: float = 1.0,
                       s: float = math.pi, j_hop: float = 0.5) -> TruncatedBathConfig:
     """Deterministic discretization of the Ohmic-Gaussian bath.
@@ -178,14 +189,7 @@ def ohmic_mode_config(n_modes: int = 2, n_max: int = 6, coupling: float = 1.0,
     """
     if n_modes < 1:
         raise ConfigError("at least one bath mode is required")
-    # refuse an over-cap space before allocating anything of length n_modes:
-    # the product stops at the cap, so a huge n_modes costs nothing
-    dim = 2
-    for _ in range(n_modes if n_max > 0 else 0):
-        dim *= n_max + 1
-        if dim > DIM_CAP:
-            raise ConfigError(f"Hilbert dimension 2*{n_max + 1}**{n_modes} "
-                              f"exceeds cap {DIM_CAP}")
+    _check_dim(n_modes, n_max)  # before anything of length n_modes
     dw = OMEGA_MAX / n_modes
     w = (np.arange(n_modes) + 0.5) * dw
     g_mag = np.sqrt(coupling * w * np.exp(-w * w) * dw)
@@ -650,7 +654,7 @@ class BangBangReport:
 
 def run_bangbang(config: TruncatedBathConfig, rho0: DensityMatrixST,
                  schedules) -> BangBangReport:
-    """Pulse-train protection runs over one or more schedules.
+    """Pulse-train protection runs over a list of one or more schedules.
 
     Each branch vector of rho0 evolves through N cycles U(dt) Pi U(dt) Pi
     (the pulse Pi acts first) and, once for all schedules, freely for the
@@ -669,8 +673,6 @@ def run_bangbang(config: TruncatedBathConfig, rho0: DensityMatrixST,
     per-cycle error accumulated over T/(2 dt) cycles); otherwise
     fitted_slope is None.
     """
-    if isinstance(schedules, PulseSchedule):
-        schedules = [schedules]
     schedules = list(schedules)
     if not schedules:
         raise ConfigError("at least one schedule is required")

@@ -54,11 +54,7 @@ class RateTable:
 
     def __post_init__(self):
         for name in ("gamma_plus", "gamma_minus"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != self.grid.points.shape:
-                raise ConfigError(f"{name} length does not match grid")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, self.grid.column(getattr(self, name), name))
 
     @property
     def cap_gamma0(self) -> np.ndarray:

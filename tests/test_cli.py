@@ -500,7 +500,7 @@ class TestMain:
         assert code == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigError"
-        assert f"line 2: key '{key}' was removed" in record["message"]
+        assert record["message"] == f"line 2: unknown key '{key}'"
         assert not (tmp_path / "config_echo.cfg").exists()
 
     @pytest.mark.parametrize("argv", [
