@@ -30,9 +30,11 @@ import numpy as np
 
 from .errors import ConfigError, QuadratureError
 from .numerics import (
+    GK15_NODES,
     OMEGA_TRUNCATION,
     TimeGrid,
     composite_gk15_nodes,
+    composite_panels,
     dawson_sine,
     integrate_semiinf,
 )
@@ -45,6 +47,7 @@ __all__ = [
     "kernel_sin",
     "effective_hopping_ratio",
     "build_kernel_table",
+    "check_table_budget",
     "kernel_table_from_modes",
 ]
 
@@ -168,6 +171,24 @@ TABLE_TOL = 1e-10
 # (2 * _START_CHUNK + 4 * block) * nodes doubles
 _START_CHUNK = 32
 _MAX_BLOCK = 256
+# largest working set build_kernel_table may take, in bytes
+TABLE_BUDGET = 2**30
+
+
+def check_table_budget(model: BathModel, grid: TimeGrid) -> None:
+    """ConfigError when build_kernel_table's working set for model on grid,
+    (2 * _START_CHUNK + 4 * block) * nodes doubles, would exceed
+    TABLE_BUDGET. The node count is GK15's 15 per panel of the composite
+    rule the table uses; a table that is identically zero costs nothing."""
+    if model.lambda_g == 0.0 or model.s == 0.0:
+        return
+    block = min(math.isqrt(len(grid) - 1) + 1, _MAX_BLOCK)
+    nodes = len(GK15_NODES) * composite_panels(OMEGA_TRUNCATION, grid.t_max + model.s)
+    need = 8 * (2 * _START_CHUNK + 4 * block) * nodes
+    if need > TABLE_BUDGET:
+        raise ConfigError(
+            f"the kernel table at s={model.s:.6g} on {len(grid)} grid points needs "
+            f"{need / 2**30:.3g} GiB, over TABLE_BUDGET = {TABLE_BUDGET / 2**30:g} GiB")
 
 
 def _kernel_sums(model: BathModel, grid: TimeGrid):
@@ -227,7 +248,8 @@ def build_kernel_table(model: BathModel, grid: TimeGrid) -> KernelTable:
     and sin run on about 2 sqrt(n) x nodes block-start and offset phases,
     and angle addition folds them into one GEMM per chunk of block starts
     (see _kernel_sums). The cost is ~16 n x nodes GEMM flops, the memory
-    O((chunk + min(sqrt(n), 256)) x nodes). Per-tau embedded-Gauss error
+    O((chunk + min(sqrt(n), 256)) x nodes), and a table over TABLE_BUDGET
+    raises ConfigError before it is built (check_table_budget). Per-tau embedded-Gauss error
     estimates guard every entry of both kernels: an estimate above
     TABLE_TOL raises QuadratureError naming the kernel and the tau.
     Pointwise kernel_cos / kernel_sin agree with the table to well below
@@ -236,7 +258,7 @@ def build_kernel_table(model: BathModel, grid: TimeGrid) -> KernelTable:
     if model.lambda_g == 0.0 or model.s == 0.0:
         zeros = np.zeros(len(grid))
         return KernelTable(grid=grid, k_cos=zeros, k_sin=zeros.copy())
-
+    check_table_budget(model, grid)
     k_cos, k_sin, err_c, err_s = _kernel_sums(model, grid)
     for name, err in (("K_c", err_c), ("K_s", err_s)):
         worst = int(np.argmax(err))

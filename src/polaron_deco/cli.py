@@ -92,7 +92,7 @@ class ExperimentConfig:
                     bath.BathModel(**{key: v})
                 except ConfigError as exc:
                     raise ConfigError(f"in {list_key}: {exc}") from None
-        self.grid()
+        grid = self.grid()  # refuses a grid over numerics.MAX_POINTS
         if self.n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
         if not (self.s_values and self.lambda_values and self.cycles):
@@ -106,6 +106,14 @@ class ExperimentConfig:
             oracle.PulseSchedule(total_time=self.total_time, cycles=n)
         if "n_modes" in keys:
             self.oracle_config()  # refuses no modes or a space over oracle.DIM_CAP
+        elif "dt" in keys:
+            # a rate verb: every kernel table it builds fits bath.TABLE_BUDGET
+            s_list, lambda_list = (getattr(self, list_key) if list_key in keys
+                                   else (getattr(self, key),)
+                                   for key, list_key in _LIST_OF.items())
+            for s in s_list:
+                for lam in lambda_list:
+                    bath.check_table_budget(bath.BathModel(lambda_g=lam, s=s), grid)
 
     def initial_state(self) -> dynamics.DensityMatrixST:
         return dynamics.DensityMatrixST.from_parts(

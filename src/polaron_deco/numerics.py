@@ -26,6 +26,8 @@ __all__ = [
 # Gaussian-decay integrands are below 2e-28 past this point; hard truncation
 # of the semi-infinite range is safe and cheap.
 OMEGA_TRUNCATION = 8.0
+# most points a TimeGrid holds, 80 MB per float column
+MAX_POINTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,8 @@ class TimeGrid:
     """Uniform time grid 0 = t_0 < t_1 < ... = t_max with spacing dt.
 
     t_max must be an integer multiple of dt (to 1e-9 relative); the
-    endpoints are exact by construction.
+    endpoints are exact by construction. A grid of more than MAX_POINTS
+    points is refused before any is allocated.
     """
 
     t_max: float
@@ -53,6 +56,9 @@ class TimeGrid:
             raise ConfigError(
                 f"t_max={self.t_max} is not an integer multiple of dt={self.dt}"
             )
+        if n + 1 > MAX_POINTS:
+            raise ConfigError(f"t_max/dt = {n} steps: {n + 1} grid points exceed "
+                              f"MAX_POINTS = {MAX_POINTS}")
         pts = np.linspace(0.0, self.t_max, n + 1)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -170,15 +176,21 @@ G7_WEIGHTS = np.array([
 _GK15_ERRW = GK15_WEIGHTS - G7_WEIGHTS
 
 
-def _composite(omega_max: float, max_oscillation: float, nodes, *weights):
-    """A rule on [-1, 1] repeated on equal panels of [0, omega_max].
-
-    Panels are at most half an oscillation period of the given rate wide
-    (and at most 0.5), so that a fixed-order rule stays in its rapidly
-    convergent regime. Returns the nodes, then each weight set, scaled.
-    """
+def composite_panels(omega_max: float, max_oscillation: float):
+    """Equal panels of [0, omega_max] for a composite rule: at least 16, each
+    at most half an oscillation period of the given rate wide (and at most
+    0.5), so that a fixed-order rule stays in its rapidly convergent regime.
+    An int, or inf where the count overflows a float."""
     h = min(0.5, math.pi / max(max_oscillation, 1.0))
-    n_panels = max(16, int(math.ceil(omega_max / h)))
+    panels = omega_max / h if h > 0.0 else math.inf
+    return max(16, math.ceil(panels)) if panels < math.inf else math.inf
+
+
+def _composite(omega_max: float, max_oscillation: float, nodes, *weights):
+    """A rule on [-1, 1] repeated on composite_panels equal panels of
+    [0, omega_max]. Returns the nodes, then each weight set, scaled.
+    """
+    n_panels = composite_panels(omega_max, max_oscillation)
     edges = np.linspace(0.0, omega_max, n_panels + 1)
     half = 0.5 * np.diff(edges)
     centers = 0.5 * (edges[1:] + edges[:-1])

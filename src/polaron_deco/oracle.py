@@ -43,7 +43,7 @@ import numpy as np
 
 from .bath import kernel_table_from_modes
 from .dynamics import DensityMatrixST, Trajectory, evolve_closed_form, trajectory_from_matrices
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, InvariantError, NumericalError
 from .numerics import TimeGrid
 from .rates import build_rate_table_from_kernels
 
@@ -77,6 +77,10 @@ CHUNK = 128
 SPAN_CAP = CHUNK / 2
 # a Chebyshev series stops at the first term whose bound on |J_k| is below this
 SERIES_TOL = 1e-16
+# largest Bessel table (time points x FFT length) ChebyshevPropagator.evolve
+# builds, the CHUNK x DIM_CAP amplitudes of one series block; a longer series
+# (radius * tau beyond ~1.9e5 for a single time) raises NumericalError
+BESSEL_CAP = CHUNK * DIM_CAP
 
 # rows are <T|, <S| expressed in the site basis {|10>, |01>}
 _ST_FROM_SITE = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
@@ -311,11 +315,13 @@ def _require_hermitian(dev: float) -> None:
 
 def _series_length(x: float) -> int:
     """Terms k = 0, 1, ... a Chebyshev series at x = r tau keeps: all before
-    the first whose bound (x/2)^k / k! on |J_k(x)| is below SERIES_TOL."""
+    the first whose bound (x/2)^k / k! on |J_k(x)| is below SERIES_TOL.
+    Counting stops past BESSEL_CAP // 2 terms, more than a Bessel table
+    within BESSEL_CAP holds, so a huge x costs at most that many steps."""
     if x == 0.0:
         return 1
     log_bound, k = 0.0, 0
-    while log_bound >= math.log(SERIES_TOL):
+    while log_bound >= math.log(SERIES_TOL) and k <= BESSEL_CAP // 2:
         k += 1
         log_bound += math.log(0.5 * x / k)  # in logs: the bound overflows near k = x/2
     return k
@@ -326,9 +332,16 @@ def _bessel_coefficients(x: np.ndarray, n_terms: int) -> np.ndarray:
 
     These are the cosine coefficients of exp(-i x cos theta) (Jacobi-Anger),
     read off an FFT of n >= 2 n_terms samples: the orders that alias onto
-    k < n_terms are beyond n_terms, where |J_k(x)| is below the bound.
+    k < n_terms are beyond n_terms, where |J_k(x)| is below the bound. A
+    table of more than BESSEL_CAP entries (len(x) x n) raises
+    NumericalError before anything is allocated.
     """
     n = 1 << (2 * n_terms - 1).bit_length()
+    if len(x) * n > BESSEL_CAP:
+        raise NumericalError(
+            f"a Chebyshev series to radius * tau = {float(np.max(x)):.6g} needs "
+            f"{n_terms} terms or more, a Bessel table of {len(x)} x {n} entries "
+            f"over BESSEL_CAP = {BESSEL_CAP}")
     theta = 2.0 * math.pi * np.arange(n) / n
     coef = np.fft.fft(np.exp(-1j * np.multiply.outer(x, np.cos(theta))))[:, :n_terms] / n
     coef[:, 1:] *= 2.0

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathModel, KernelTable, build_kernel_table, effective_hopping_ratio
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .numerics import TimeGrid, cumulative_trapezoid
 
 __all__ = ["RateTable", "build_rate_table", "build_rate_table_from_kernels", "rate_at"]
@@ -91,7 +91,11 @@ def build_rate_table_from_kernels(kernels: KernelTable, j_hop: float,
     grid = kernels.grid
     if j_tilde is None:
         j_tilde = j_hop * float(np.exp(-0.5 * kernels.k_cos[0]))
-    pref = 2.0 * j_tilde**2
+    try:
+        pref = 2.0 * j_tilde**2
+    except OverflowError:
+        raise NumericalError(f"the rate prefactor 2 j_tilde^2 overflows at "
+                             f"j_tilde={j_tilde:.6g}") from None
 
     cos_ks = np.cos(kernels.k_sin)
     f_plus = np.exp(kernels.k_cos) * cos_ks - 1.0

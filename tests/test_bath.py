@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import dawsn
 
 import polaron_deco as pd
-from polaron_deco import BathModel, ConfigError, TimeGrid, bath
+from polaron_deco import BathModel, ConfigError, TimeGrid, bath, numerics
 from polaron_deco.bath import sinc
 
 
@@ -313,6 +313,41 @@ class TestKernelTable:
 # grids of n = 49 (a perfect square), 50 (= 7^2 + 1), 3 and 2 points; the
 # block size is ceil(sqrt(n)), so n = 2 and 3 are single short blocks
 SMALL_GRIDS = [(4.8, 0.1), (4.9, 0.1), (0.2, 0.1), (1.0, 1.0)]
+
+
+class TestTableBudget:
+    @pytest.mark.parametrize("t_max, s", [(5.0, 0.0), (50.0, 1.0), (50.0, 100.0),
+                                          (1e-3, 1e-3), (200.0, 300.0)])
+    def test_node_count_is_the_table_rule(self, t_max, s):
+        nodes = numerics.composite_gk15_nodes(numerics.OMEGA_TRUNCATION, t_max + s)[0]
+        assert len(nodes) == 15 * numerics.composite_panels(numerics.OMEGA_TRUNCATION,
+                                                            t_max + s)
+
+    def test_default_tables_fit(self, default_grid):
+        for s in (1.0, 10.0, 100.0, 1e3):
+            bath.check_table_budget(BathModel(lambda_g=1.0, s=s), default_grid)
+        # an identically zero table costs nothing, whatever s
+        bath.check_table_budget(BathModel(lambda_g=0.0, s=1e300), default_grid)
+
+    @pytest.mark.parametrize("s", [1e12, 1e300])
+    def test_over_budget_refused_before_allocating(self, default_grid, s):
+        # at s = 1e12 the working set would be 1.4e17 bytes, and the panel
+        # edges alone 2e13
+        model = BathModel(lambda_g=1.0, s=s)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="over TABLE_BUDGET"):
+                pd.build_kernel_table(model, default_grid)
+            assert tracemalloc.get_traced_memory()[1] < 1e5
+        finally:
+            tracemalloc.stop()
+
+    def test_overflowing_node_count_refused(self):
+        # t_max + s overflows a float, and so does the panel count
+        grid = TimeGrid(t_max=1e308, dt=1e308)
+        assert numerics.composite_panels(numerics.OMEGA_TRUNCATION, 2e308) == np.inf
+        with pytest.raises(ConfigError, match="inf GiB"):
+            bath.check_table_budget(BathModel(lambda_g=1.0, s=1e308), grid)
 
 
 def scaled_case(s, t_max, dt, cutoff):

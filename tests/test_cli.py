@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import polaron_deco.cli as cli
+import polaron_deco.errors as pd_errors
 from polaron_deco import ConfigError
 
 
@@ -569,6 +570,58 @@ class TestMain:
         assert record["error"] == "NumericalError"
         assert "non-finite state first at t=" in record["message"]
         assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("cls, code", [
+    (cli.PolaronDecoError, 3), (cli.ConfigError, 2), (cli.NumericalError, 3),
+    (pd_errors.QuadratureError, 3), (cli.InvariantError, 4), (pd_errors.PositivityError, 4),
+])
+def test_exit_code_on_error_type(tmp_path, monkeypatch, capsys, cls, code):
+    # the exit code lives on the class and a subclass inherits it
+    assert cls.exit_code == code
+
+    def boom(config):
+        raise cls("failed")
+    monkeypatch.setattr(cli, "run_experiment", boom)
+    assert cli.main(["single", "--out", str(tmp_path)]) == code
+    assert json.loads(capsys.readouterr().err) == {"error": cls.__name__, "message": "failed"}
+
+
+# inputs at the edge of the run contract, each refused by a stated limit
+# before it can hang or allocate: (argv, config file text, exit code)
+EXTREME_INPUTS = {
+    "huge-s": (["single", "--s=1e300", "--tmax", "1", "--dt", "0.5"], None, 2),
+    # a kernel table of 1.4e17 bytes, whose panel edges alone take 2e13
+    "table-budget": (["single", "--s", "1e12"], None, 2),
+    "table-budget-sweep": (["sweep-s", "--s=1,1e12"], None, 2),
+    # a grid of 1.6e13 bytes
+    "grid-points": (["single", "--tmax", "2e12", "--dt", "1"], None, 2),
+    "huge-j": (["single", "--j", "1e200", "--tmax", "1", "--dt", "0.5"], None, 3),
+    "huge-j-oracle": (["oracle-compare", "--j", "1e200", "--modes", "1", "--nmax", "1",
+                       "--tmax", "1", "--dt", "0.5"], None, 3),
+    "huge-total-time": (["bangbang"], "total_time = 1e15\n", 3),
+}
+
+
+@pytest.mark.parametrize("name", list(EXTREME_INPUTS))
+def test_extreme_input_exit_code(tmp_path, name):
+    # a child process, so that a guard that fails to stop a hang fails the
+    # timeout instead of stalling the suite
+    argv, config_text, expected = EXTREME_INPUTS[name]
+    if config_text:
+        (tmp_path / "run.cfg").write_text(config_text)
+        argv = argv + ["--config", str(tmp_path / "run.cfg")]
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "polaron_deco.cli", *argv, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == expected, proc.stderr[-2000:]
+    record = json.loads(proc.stderr)  # one JSON record and nothing else
+    assert record["error"] == ("ConfigError" if expected == 2 else "NumericalError")
+    assert proc.stdout == ""
+    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    assert written == ([] if expected == 2 else ["config_echo.cfg"])
 
 
 class TestSelftest:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -148,6 +150,17 @@ class TestTimeGrid:
             TimeGrid(t_max=0.0, dt=0.1)
         with pytest.raises(ConfigError):
             TimeGrid(t_max=1.0, dt=-0.1)
+
+    @pytest.mark.parametrize("t_max", [float(numerics.MAX_POINTS), 2e12])
+    def test_point_count_refused_before_allocating(self, t_max):
+        # MAX_POINTS steps are one point too many; 2e12 points would be 16 TB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="exceed MAX_POINTS"):
+                TimeGrid(t_max=t_max, dt=1.0)
+            assert tracemalloc.get_traced_memory()[1] < 1e5
+        finally:
+            tracemalloc.stop()
 
 
 class TestCumulativeTrapezoid:

@@ -472,6 +472,48 @@ class TestChebyshev:
         assert np.max(np.abs(states - Propagator(kron_hamiltonian(cfg)).evolve(psi, t))) <= 1e-12
 
 
+class TestSeriesCap:
+    # sizes a missing cap turns into a quick failure, not a hang or an
+    # allocation; the CLI tests run the endless cases under a timeout
+    @pytest.mark.parametrize("x", [3e5, 1e6])
+    def test_series_length_stops_counting(self, x):
+        # one term past what a Bessel table within BESSEL_CAP holds
+        assert oracle._series_length(x) == oracle.BESSEL_CAP // 2 + 1
+
+    def test_cap_far_above_the_tested_series(self):
+        # the longest series the test suite runs is radius * tau ~ 3.2e3
+        assert 30 * oracle._series_length(3.2e3) < oracle.BESSEL_CAP // 2
+        assert oracle._series_length(1e5) < oracle.BESSEL_CAP // 2
+
+    def test_oversized_table_refused_before_allocating(self):
+        # 2**41 complex entries would be 35 TB
+        def refused():
+            with pytest.raises(pd.NumericalError, match="over BESSEL_CAP"):
+                oracle._bessel_coefficients(np.array([1.0]), 2**40)
+
+        assert peak_traced_bytes(refused) < 1e5
+
+    def test_table_size_counts_every_time_point(self):
+        # one time point at x fits; CHUNK of them need CHUNK times the table
+        x = np.full(CHUNK, 1.5e3)
+        n_terms = oracle._series_length(1.5e3)
+        assert oracle._bessel_coefficients(x[:1], n_terms).shape == (1, n_terms)
+        with pytest.raises(pd.NumericalError, match=f"{CHUNK} x 8192 entries"):
+            oracle._bessel_coefficients(x, n_terms)
+
+    def test_evolve_refuses_before_allocating(self):
+        cfg = ohmic_mode_config(n_modes=1, n_max=1)
+        prop = oracle.ChebyshevPropagator(pd.build_hamiltonian(cfg))
+        psi = _vacuum_state([0.6, 0.8], cfg.bath_dim)
+        tau = np.linspace(0.0, 1.5e3 / prop.radius, CHUNK)
+
+        def refused():
+            with pytest.raises(pd.NumericalError, match="over BESSEL_CAP"):
+                prop.evolve(psi, tau)
+
+        assert peak_traced_bytes(refused) < 1e5
+
+
 class TestPulse:
     def test_site_swap(self):
         psi = _vacuum_state([1.0, 0.0], 4)

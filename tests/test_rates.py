@@ -57,6 +57,14 @@ class TestRateTable:
         assert np.array_equal(table_s1.cap_gamma2, 4.0 * gp)
         assert np.array_equal(table_s1.cap_gamma0, 0.5 * (2.0 * gp - gm))
 
+    def test_overflowing_prefactor(self):
+        # 2 j_tilde^2 overflows a float: a NumericalError, not an OverflowError
+        grid = TimeGrid(t_max=1.0, dt=0.5)
+        kernels = pd.build_kernel_table(BathModel(lambda_g=1.0, s=1.0), grid)
+        with pytest.raises(pd.NumericalError, match="2 j_tilde\\^2 overflows"):
+            pd.build_rate_table_from_kernels(kernels, 1e200)
+        assert pd.build_rate_table_from_kernels(kernels, 1e150).j_tilde < 1e150
+
     def test_only_gamma_pm_stored(self, table_s1):
         # G0-G2 and their running integrals are derived on access
         assert [f.name for f in fields(pd.RateTable)] == [
