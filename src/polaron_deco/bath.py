@@ -249,9 +249,10 @@ def build_kernel_table(model: BathModel, grid: TimeGrid) -> KernelTable:
     and angle addition folds them into one GEMM per chunk of block starts
     (see _kernel_sums). The cost is ~16 n x nodes GEMM flops, the memory
     O((chunk + min(sqrt(n), 256)) x nodes), and a table over TABLE_BUDGET
-    raises ConfigError before it is built (check_table_budget). Per-tau embedded-Gauss error
-    estimates guard every entry of both kernels: an estimate above
-    TABLE_TOL raises QuadratureError naming the kernel and the tau.
+    raises ConfigError before it is built (check_table_budget). Per-tau
+    embedded-Gauss error estimates guard every entry of both kernels: an
+    estimate above TABLE_TOL raises QuadratureError naming the kernel and
+    the tau.
     Pointwise kernel_cos / kernel_sin agree with the table to well below
     1e-10, which the tests assert on a sample of grid points.
     """

@@ -7,9 +7,10 @@ only key list, and the value parsers come from their defaults' types.
 besides ``mode``, ``out_dir`` and ``svg``, and its mode defaults. A verb
 takes a flag from the ``(flag, key, help)`` table ``_FLAGS`` only for a key
 it reads. A key it does not read, or one no verb reads, is a configuration
-error, never ignored. An ``ExperimentConfig`` checks itself when it is built (``dataclasses.replace``
-included) by building the library types that hold the rules, with list
-values checked like scalars, and refuses a list that repeats a value.
+error, never ignored. An ``ExperimentConfig`` checks itself when it is
+built (``dataclasses.replace`` included) by building the library types that
+hold the rules, with list values checked like scalars, and refuses a list
+that repeats a value.
 Every run writes the keys its verb reads next to its outputs, and
 re-running from that echo reproduces the outputs byte for byte.
 
