@@ -39,7 +39,7 @@ import numpy as np
 
 from . import bath, dynamics, numerics, oracle, rates
 from .errors import ConfigError, InvariantError, NumericalError, PolaronDecoError
-from .output import ensure_dir, format_number, write_csv, write_svg
+from .output import ensure_dir, format_number, plot_points, write_csv, write_svg
 
 ENV_OUT_DIR = "POLARON_DECO_OUT"
 
@@ -342,8 +342,10 @@ def run_experiment(config: ExperimentConfig):
     becomes ``stem.csv`` and, with ``svg`` set, ``stem.svg`` beside it.
     ``plot`` is ``(series, style)``: series maps each legend label to the
     header name of the column it draws against the first column, and style
-    holds write_svg's title, axis labels and log flags. The config checked
-    itself when it was built, so nothing is written for an invalid one.
+    holds write_svg's title, axis labels and log flags. An SVG draws only
+    the rows plot_points keeps, the ones that set its pixels; the CSV holds
+    every row. The config checked itself when it was built, so nothing is
+    written for an invalid one.
     """
     ensure_dir(config.out_dir)
     echo = os.path.join(config.out_dir, "config_echo.cfg")
@@ -356,8 +358,11 @@ def run_experiment(config: ExperimentConfig):
         written.append(path + ".csv")
         if config.svg:
             by_name = dict(zip(header, columns))
-            write_svg(path + ".svg", columns[0],
-                      {label: by_name[name] for label, name in series.items()}, **style)
+            ys = [np.asarray(by_name[name]) for name in series.values()]
+            keep = plot_points(columns[0], ys, style.get("log_x", False),
+                               style.get("log_y", False))
+            write_svg(path + ".svg", np.asarray(columns[0])[keep],
+                      {label: y[keep] for label, y in zip(series, ys)}, **style)
             written.append(path + ".svg")
     return written
 

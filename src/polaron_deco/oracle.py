@@ -367,12 +367,16 @@ class ChebyshevPropagator:
                  for o, d in ham.bands.items()])))
         # off-diagonal absolute row sums, each diagonal added to the rows it touches
         radii = np.zeros(n)
-        for o, d in ham.bands.items():
-            if o:
-                radii[max(0, -o):n - max(0, o)] += np.abs(d)
-        main = ham.bands[0].real
-        low, high = float(np.min(main - radii)), float(np.max(main + radii))
-        self.center, self.radius = 0.5 * (high + low), 0.5 * (high - low)
+        with np.errstate(over="ignore"):  # an infinite bound raises below
+            for o, d in ham.bands.items():
+                if o:
+                    radii[max(0, -o):n - max(0, o)] += np.abs(d)
+            main = ham.bands[0].real
+            low, high = float(np.min(main - radii)), float(np.max(main + radii))
+        # halves first: high - low overflows once the bounds pass 1e308 / 2
+        self.center, self.radius = 0.5 * high + 0.5 * low, 0.5 * high - 0.5 * low
+        if not math.isfinite(self.radius):
+            raise NumericalError(f"the spectral bounds [{low:.6g}, {high:.6g}] overflow")
         # 2 (H - center) / radius, the recurrence's step; with radius 0 every
         # series has one term and the step is never taken
         scale = 2.0 / self.radius if self.radius > 0.0 else 0.0
@@ -411,8 +415,14 @@ class ChebyshevPropagator:
         of states along its leading axes."""
         psi = np.asarray(psi, dtype=complex)
         tau = np.asarray(tau, dtype=float)
+        # the largest radius * tau, as a float product that overflows to inf
+        # without the warning the array product would print
+        x_max = self.radius * float(np.max(tau))
+        if math.isinf(x_max):
+            raise NumericalError(f"radius * tau overflows at radius = {self.radius:.6g}, "
+                                 f"tau = {float(np.max(tau)):.6g}")
         x = self.radius * tau.ravel()
-        coef = _bessel_coefficients(x, _series_length(float(np.max(x))))
+        coef = _bessel_coefficients(x, _series_length(x_max))
         coef = coef * np.exp(-1j * self.center * tau.ravel())[:, None]
         out = np.zeros((len(coef), psi.size), dtype=complex)
         for k0, block in self._chebyshev_blocks(psi, coef.shape[1]):
@@ -698,13 +708,16 @@ def run_bangbang(config: TruncatedBathConfig, rho0: DensityMatrixST,
     rho0_matrix = rho0.matrix()
     branches = _initial_site_branches(rho0)
     psi0 = _vacuum_state([vec for _, vec in branches], config.bath_dim)
+    # the free series first: a spectrum too wide for it raises NumericalError
+    # before (eps +- J) total_time can overflow in the ideal rotation
+    psi_free = prop.evolve(psi0, total_time)
     undo = _ideal_rotation(config, total_time)
 
     def distance(psi):
         rho = sum(p * r for (p, _), r in zip(branches, _reduced_st_series(psi)))
         return _trace_distance(undo[:, None] * rho * undo.conj(), rho0_matrix)
 
-    distance_free = distance(prop.evolve(psi0, total_time))
+    distance_free = distance(psi_free)
     results = []
     for sched in schedules:
         psi = psi0

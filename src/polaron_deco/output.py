@@ -3,18 +3,24 @@
 Numbers are serialized with 9 significant digits and a lowercase exponent,
 so repeated runs with the same resolved configuration produce byte-identical
 files on any platform. The SVG writer draws a self-contained polyline chart
-(fixed viewBox, no external assets); the CSV stays the data contract.
+(fixed viewBox, no external assets), and plot_points picks the points that
+set its pixels; the CSV stays the data contract, with every point.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
 
-__all__ = ["format_number", "write_csv", "write_svg"]
+__all__ = ["format_number", "plot_points", "write_csv", "write_svg"]
 
 _PALETTE = ("#1f6fb4", "#d1495b", "#3a9d6c", "#8b5fbf", "#c98a2b", "#4f5d75")
+
+# the chart's viewBox, and the left, right, top and bottom plot margins
+WIDTH, HEIGHT = 640.0, 480.0
+MARGINS = (62.0, 16.0, 34.0, 46.0)
 
 
 def format_number(x) -> str:
@@ -54,36 +60,80 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return np.linspace(lo, hi, n)
 
 
+def _axis(v, log: bool):
+    """Values as drawn on a linear or a log10 axis (clamped at 1e-300)."""
+    v = np.asarray(v, dtype=float)
+    return np.log10(np.maximum(v, 1e-300)) if log else v
+
+
+def _span(v):
+    """(lo, hi) of an axis; a single value spans one unit."""
+    lo, hi = float(np.min(v)), float(np.max(v))
+    return (lo, hi) if hi > lo else (lo, lo + 1.0)
+
+
+def _x_pixel(v, x_lo, x_hi):
+    """Horizontal viewBox position of the axis value v."""
+    ml, mr = MARGINS[:2]
+    return ml + (v - x_lo) / (x_hi - x_lo) * (WIDTH - ml - mr)
+
+
+def plot_points(x, ys, log_x=False, log_y=False) -> np.ndarray:
+    """Sorted indices of the points that a write_svg chart of every y in ys
+    against x needs to draw the same pixels (M4: Jugel et al., PVLDB 7(10),
+    2014).
+
+    Consecutive points in one pixel column, the integer part of the x
+    position write_svg prints, form a run. Each run keeps its first and
+    last point, and for every series the point of its minimum and of its
+    maximum y, so each column spans the same y range and joins its
+    neighbours as before. The chart's extreme x and y are always kept, so
+    its axes and ticks do not change. A chart with a non-finite coordinate
+    keeps every point.
+    """
+    x_t = _axis(x, log_x)
+    ys_t = [_axis(y, log_y) for y in ys]
+    if not all(np.all(np.isfinite(v)) for v in [x_t] + ys_t):
+        return np.arange(len(x_t))
+    # the pixel column of each x as write_svg prints it, to 0.01; px + 0.005
+    # rounds, so a point within 1e-9 of a column edge is printed to decide
+    px = _x_pixel(x_t, *_span(x_t))
+    column = np.floor(px + 0.005)
+    near = np.flatnonzero(np.abs(px + 0.005 - np.rint(px + 0.005)) < 1e-9)
+    column[near] = [math.floor(float("%.2f" % v)) for v in px[near]]
+    new_run = np.r_[True, column[1:] != column[:-1]]
+    run = np.cumsum(new_run) - 1
+    starts = np.flatnonzero(new_run)
+    ends = np.r_[starts[1:], len(x_t)] - 1
+    keep = [starts, ends, [np.argmin(x_t), np.argmax(x_t)]]
+    for y_t in ys_t:
+        for extreme in (np.minimum, np.maximum):
+            # the first point of each run that reaches the run's extreme
+            hit = np.flatnonzero(y_t == extreme.reduceat(y_t, starts)[run])
+            keep.append(hit[np.r_[True, np.diff(run[hit]) > 0]])
+    kept = np.zeros(len(x_t), dtype=bool)
+    kept[np.concatenate(keep)] = True
+    return np.flatnonzero(kept)
+
+
 def write_svg(path, x, series, title="", x_label="", y_label="",
               log_x=False, log_y=False):
     """Single-file polyline chart; series maps label -> y array."""
-    width, height = 640.0, 480.0
-    ml, mr, mt, mb = 62.0, 16.0, 34.0, 46.0
+    width, height = WIDTH, HEIGHT
+    ml, mr, mt, mb = MARGINS
     pw, ph = width - ml - mr, height - mt - mb
 
-    x = np.asarray(x, dtype=float)
-    ys = {label: np.asarray(y, dtype=float) for label, y in series.items()}
+    x_t = _axis(x, log_x)
+    ys = {label: _axis(y, log_y) for label, y in series.items()}
 
-    def tx(v):
-        return np.log10(np.maximum(v, 1e-300)) if log_x else v
-
-    def ty(v):
-        return np.log10(np.maximum(v, 1e-300)) if log_y else v
-
-    x_t = tx(x)
-    all_y = np.concatenate([ty(y) for y in ys.values()])
-    x_lo, x_hi = float(np.min(x_t)), float(np.max(x_t))
-    y_lo, y_hi = float(np.min(all_y)), float(np.max(all_y))
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _span(x_t)
+    y_lo, y_hi = _span(np.concatenate(list(ys.values())))
     pad = 0.04 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
 
     def px(v):
-        return ml + (v - x_lo) / (x_hi - x_lo) * pw
+        return _x_pixel(v, x_lo, x_hi)
 
     def py(v):
         return mt + ph - (v - y_lo) / (y_hi - y_lo) * ph
@@ -122,7 +172,7 @@ def write_svg(path, x, series, title="", x_label="", y_label="",
     x_px = px(x_t).tolist()
     for i, (label, y) in enumerate(ys.items()):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join("%.2f,%.2f" % p for p in zip(x_px, py(ty(y)).tolist()))
+        pts = " ".join("%.2f,%.2f" % p for p in zip(x_px, py(y).tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         ly = mt + 16 + 16 * i

@@ -1,7 +1,9 @@
-"""The CLI runs whose CSVs tests/golden holds: every experiment verb at the
-sizes of CI's CLI smoke step, plus oracle-compare from a mixed, nearly pure
-initial state. tools/make_golden.py writes the references from these runs,
-and tests/test_golden.py compares fresh runs with them.
+"""The CLI runs whose outputs tests/golden holds: every experiment verb at
+the sizes of CI's CLI smoke step, oracle-compare from a mixed, nearly pure
+initial state, each with its CSVs and SVGs, and sweep-s at its default grid,
+whose SVGs are the ones drawn from a subset of the rows (its CSVs, ~280 KB
+compressed, are left out). tools/make_golden.py writes the references from
+these runs, and tests/test_golden.py compares fresh runs with them.
 """
 
 import contextlib
@@ -16,22 +18,26 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # dropped branch would show at the third digit
 NEARLY_PURE = "rho_ss = 0.6\nre_rho_st = 0.48\nim_rho_st = 0.0927\n"
 
-# run name -> (argv without --out, config file text or None)
+BOTH = (".csv", ".svg")
+
+# run name -> (argv without --svg and --out, config file text or None, the
+# suffixes of the files kept)
 RUNS = {
-    "single": (["single", "--tmax", "2", "--dt", "0.01"], None),
-    "sweep-s": (["sweep-s", "--tmax", "2", "--dt", "0.01"], None),
-    "sweep-lambda": (["sweep-lambda", "--tmax", "2", "--dt", "0.01"], None),
-    "effective-hopping": (["effective-hopping"], None),
-    "bangbang": (["bangbang", "--nmax", "2"], None),
-    "oracle-compare": (["oracle-compare", "--nmax", "2"], None),
-    "oracle-compare-nearly-pure": (["oracle-compare", "--nmax", "2"], NEARLY_PURE),
+    "single": (["single", "--tmax", "2", "--dt", "0.01"], None, BOTH),
+    "sweep-s": (["sweep-s", "--tmax", "2", "--dt", "0.01"], None, BOTH),
+    "sweep-lambda": (["sweep-lambda", "--tmax", "2", "--dt", "0.01"], None, BOTH),
+    "effective-hopping": (["effective-hopping"], None, BOTH),
+    "bangbang": (["bangbang", "--nmax", "2"], None, BOTH),
+    "oracle-compare": (["oracle-compare", "--nmax", "2"], None, BOTH),
+    "oracle-compare-nearly-pure": (["oracle-compare", "--nmax", "2"], NEARLY_PURE, BOTH),
+    "sweep-s-default": (["sweep-s"], None, (".svg",)),
 }
 
 
 def run(name, work_dir) -> list:
-    """Run RUNS[name] with its outputs under work_dir; returns the CSV paths
-    written, sorted."""
-    argv, config_text = RUNS[name]
+    """Run RUNS[name] with --svg and its outputs under work_dir; returns the
+    paths of the files it keeps, sorted."""
+    argv, config_text, suffixes = RUNS[name]
     work_dir = Path(work_dir)
     work_dir.mkdir(parents=True, exist_ok=True)
     if config_text is not None:
@@ -39,7 +45,7 @@ def run(name, work_dir) -> list:
         argv = argv + ["--config", str(work_dir / "run.cfg")]
     out = work_dir / "out"
     with contextlib.redirect_stdout(io.StringIO()):  # the paths main prints
-        code = cli.main(argv + ["--out", str(out)])
+        code = cli.main(argv + ["--svg", "--out", str(out)])
     if code != 0:
         raise RuntimeError(f"{' '.join(argv)} exited {code}")
-    return sorted(out.glob("*.csv"))
+    return sorted(p for p in out.iterdir() if p.suffix in suffixes)

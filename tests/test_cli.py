@@ -13,6 +13,7 @@ import pytest
 
 import polaron_deco.cli as cli
 import polaron_deco.errors as pd_errors
+import polaron_deco.output as output
 from polaron_deco import ConfigError
 
 
@@ -209,11 +210,18 @@ class TestRunExperiment:
          {"compare": {"C_exact": "C_exact", "C_master": "C_master"}}),
     ]
 
+    # single at its default grid: 10,001 rows over 563 pixel columns, so the
+    # SVG draws only the rows that set its pixels
+    DECIMATED = ("single", {},
+                 {"trajectory": {"C": "C", "P_D": "P_D", "rho_TT": "rho_tt",
+                                 "rho_SS": "rho_ss"}})
+
     def test_svg_emission(self, tmp_path):
         # every verb: the echo, then stem.csv for every table and stem.svg
         # beside it under svg; the returned list is exactly what is on disk
-        for (verb, flags, legends), svg in itertools.product(self.OUTPUTS, (False, True)):
-            out = tmp_path / f"{verb}-{svg}"
+        runs = list(itertools.product(self.OUTPUTS, (False, True))) + [(self.DECIMATED, True)]
+        for (verb, flags, legends), svg in runs:
+            out = tmp_path / f"{verb}-{svg}-{len(flags)}"
             cfg = cli.parse_config(mode=verb, flags=dict(flags, out_dir=str(out),
                                                          svg=str(svg)))
             written = cli.run_experiment(cfg)
@@ -230,12 +238,29 @@ class TestRunExperiment:
                 polylines = re.findall(r'<polyline points="([^"]+)"', body)
                 assert len(polylines) == len(columns)
                 header, data = read_csv(out / f"{stem}.csv")
-                drawn = np.array([[float(p.split(",")[1]) for p in pts.split()]
-                                  for pts in polylines])
-                named = data[:, [header.index(c) for c in columns.values()]].T
+                points = [[p.split(",") for p in pts.split()] for pts in polylines]
+                drawn_x = [x for x, _ in points[0]]
+                assert all([x for x, _ in pts] == drawn_x for pts in points)
+                log_x = stem in ("fig1b", "bangbang")  # the charts with a log x axis
+                rows = self._drawn_rows(drawn_x, data[:, 0], log_x)
+                if (verb, flags) == self.DECIMATED[:2]:
+                    assert 2 * 563 < len(rows) < len(data) / 2
+                drawn = np.array([[float(y) for _, y in pts] for pts in points])
+                named = data[np.ix_(rows, [header.index(c) for c in columns.values()])].T
                 if stem == "bangbang":  # the one chart with a log y axis
                     named = np.log10(named)
                 self._assert_one_scale(drawn, named)
+
+    @staticmethod
+    def _drawn_rows(drawn_x, x, log_x):
+        # the CSV row of each drawn point, matched in row order by its x
+        # pixel to the printed 0.01 (rows are 0.056 px apart or more); a
+        # drawn x that no later row matches raises StopIteration
+        x = np.log10(x) if log_x else x
+        ml, mr = output.MARGINS[:2]
+        x_px = ml + (x - x.min()) / (x.max() - x.min()) * (output.WIDTH - ml - mr)
+        rows = iter(enumerate(x_px))
+        return [next(i for i, p in rows if abs(p - float(d)) <= 0.01) for d in drawn_x]
 
     @staticmethod
     def _assert_one_scale(drawn, named):
@@ -600,6 +625,14 @@ EXTREME_INPUTS = {
     "huge-j-oracle": (["oracle-compare", "--j", "1e200", "--modes", "1", "--nmax", "1",
                        "--tmax", "1", "--dt", "0.5"], None, 3),
     "huge-total-time": (["bangbang"], "total_time = 1e15\n", 3),
+    # a spectral radius whose two bounds are finite but 2e308 apart, and
+    # radius * tau past the largest float
+    "overflowing-j-oracle": (["oracle-compare", "--j", "1e308", "--modes", "1",
+                              "--nmax", "1", "--tmax", "1", "--dt", "0.5"], None, 3),
+    "overflowing-j-step": (["oracle-compare", "--j", "1e308", "--modes", "1",
+                            "--nmax", "1", "--tmax", "4", "--dt", "2"], None, 3),
+    "overflowing-j-bangbang": (["bangbang", "--j", "1e308", "--modes", "1", "--nmax", "1"],
+                               None, 3),
 }
 
 
@@ -617,6 +650,7 @@ def test_extreme_input_exit_code(tmp_path, name):
     proc = subprocess.run([sys.executable, "-m", "polaron_deco.cli", *argv, "--out", str(out)],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == expected, proc.stderr[-2000:]
+    assert proc.stderr.count("\n") == 1, proc.stderr[-2000:]  # no warning before it
     record = json.loads(proc.stderr)  # one JSON record and nothing else
     assert record["error"] == ("ConfigError" if expected == 2 else "NumericalError")
     assert proc.stdout == ""

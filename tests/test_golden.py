@@ -1,21 +1,31 @@
-"""Every experiment verb's CSVs against the committed references in
-tests/golden (written by tools/make_golden.py from tests/golden_runs.py).
+"""Every experiment verb's CSVs and SVGs against the committed references
+in tests/golden (written by tools/make_golden.py from tests/golden_runs.py).
 
-Comment and header lines must match the reference exactly. A number may
-differ from the reference by at most one unit of the reference's ninth
+CSVs: comment and header lines must match the reference exactly. A number
+may differ from the reference by at most one unit of the reference's ninth
 significant digit, counted in exact decimal arithmetic on the printed
 digits, so that a last-digit rounding flip between numpy builds passes and
 anything larger fails. A zero or a non-finite entry must match exactly.
+
+SVGs: every line must match the reference exactly once each polyline's
+points attribute is blanked out. Each polyline must draw as many points as
+the reference's, and every coordinate must lie within 0.01 px of it, one
+step of the printed precision. So the axes, ticks, labels and legend are
+pinned byte for byte, and the drawn points are pinned to the pixel columns
+they fall in, which is what a change to the decimation moves.
 """
 
 import decimal
 import lzma
+import re
 
 import pytest
 
 from golden_runs import GOLDEN, RUNS, run
 
 EXACT = decimal.Context(prec=1000)  # wide enough that no difference rounds
+POINT_TOL = 0.01  # px
+POINTS = re.compile(r'points="([^"]*)"')
 
 
 def cell_mismatch(value: str, ref: str) -> bool:
@@ -46,14 +56,60 @@ def csv_mismatches(text: str, ref_text: str) -> list:
     return out
 
 
-@pytest.mark.parametrize("name", list(RUNS))
-def test_csvs_match_golden(tmp_path, name):
-    written = run(name, tmp_path)
-    refs = sorted((GOLDEN / name).glob("*.csv.xz"))
+def _coordinates(points: str) -> list:
+    return [float(v) for p in points.split() for v in p.split(",")]
+
+
+def svg_mismatches(text: str, ref_text: str) -> list:
+    """Human-readable differences between an SVG and its reference."""
+    lines, refs = text.splitlines(), ref_text.splitlines()
+    if len(lines) != len(refs):
+        return [f"{len(lines)} lines, reference has {len(refs)}"]
+    out = []
+    for no, (line, ref) in enumerate(zip(lines, refs), start=1):
+        if POINTS.sub('points=""', line) != POINTS.sub('points=""', ref):
+            out.append(f"line {no}: {line[:200]!r} != {ref[:200]!r}")
+            continue
+        if not POINTS.search(ref):
+            continue
+        got, want = (_coordinates(POINTS.search(s).group(1)) for s in (line, ref))
+        if len(got) != len(want):
+            out.append(f"line {no}: {len(got) // 2} points, reference has {len(want) // 2}")
+        elif any(abs(a - b) > POINT_TOL + 1e-9 for a, b in zip(got, want)):
+            worst = max(abs(a - b) for a, b in zip(got, want))
+            out.append(f"line {no}: a point is {worst:.3g} px from the reference")
+    return out
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """name -> the files RUNS[name] keeps, each run once per module."""
+    done = {}
+
+    def get(name):
+        if name not in done:
+            done[name] = run(name, tmp_path_factory.mktemp(name))
+        return done[name]
+    return get
+
+
+def _compare(written, suffix, name, mismatches):
+    refs = sorted((GOLDEN / name).glob(f"*{suffix}.xz"))
+    written = [p for p in written if p.suffix == suffix]
     assert [p.name for p in written] == [p.name[:-len(".xz")] for p in refs]
-    for csv, ref in zip(written, refs):
-        problems = csv_mismatches(csv.read_text(), lzma.decompress(ref.read_bytes()).decode())
-        assert not problems, f"{name}/{csv.name}: " + "; ".join(problems[:5])
+    for path, ref in zip(written, refs):
+        problems = mismatches(path.read_text(), lzma.decompress(ref.read_bytes()).decode())
+        assert not problems, f"{name}/{path.name}: " + "; ".join(problems[:5])
+
+
+@pytest.mark.parametrize("name", [n for n in RUNS if ".csv" in RUNS[n][2]])
+def test_csvs_match_golden(outputs, name):
+    _compare(outputs(name), ".csv", name, csv_mismatches)
+
+
+@pytest.mark.parametrize("name", [n for n in RUNS if ".svg" in RUNS[n][2]])
+def test_svgs_match_golden(outputs, name):
+    _compare(outputs(name), ".svg", name, svg_mismatches)
 
 
 @pytest.mark.parametrize("value, ref, mismatch", [
@@ -81,3 +137,19 @@ def test_comment_and_header_must_match_exactly():
     assert csv_mismatches("# j_tilde=0.10000001\nt,C\n0,1\n", ref)
     assert csv_mismatches("# j_tilde=0.1\nt,D\n0,1\n", ref)
     assert csv_mismatches("# j_tilde=0.1\nt,C\n0,1\n0.1,1\n", ref)
+
+
+def test_svg_rule():
+    ref = ('<svg viewBox="0 0 640 480">\n<text x="1">t</text>\n'
+           '<polyline points="62.00,34.00 70.50,40.25" fill="none"/>\n</svg>\n')
+    assert svg_mismatches(ref, ref) == []
+    # each coordinate within 0.01 px
+    assert svg_mismatches(ref.replace("70.50,40.25", "70.51,40.24"), ref) == []
+    assert svg_mismatches(ref.replace("70.50", "70.52"), ref)
+    # one point more or fewer
+    assert svg_mismatches(ref.replace("70.50,40.25", "70.50,40.25 71.00,41.00"), ref)
+    assert svg_mismatches(ref.replace(" 70.50,40.25", ""), ref)
+    # any other byte
+    assert svg_mismatches(ref.replace('fill="none"', 'fill="red"'), ref)
+    assert svg_mismatches(ref.replace(">t<", ">u<"), ref)
+    assert svg_mismatches(ref + "<g/>\n", ref)

@@ -501,6 +501,21 @@ class TestSeriesCap:
         with pytest.raises(pd.NumericalError, match=f"{CHUNK} x 8192 entries"):
             oracle._bessel_coefficients(x, n_terms)
 
+    def test_spectral_bounds_near_overflow(self):
+        # bounds of +-1.7e308 are finite, their difference is not: the radius
+        # is still exact, and a step past 1e308 / radius refuses the series
+        prop = oracle.ChebyshevPropagator(
+            BandedOperator({0: np.array([1.7e308, -1.7e308])}, 2))
+        assert (prop.center, prop.radius) == (0.0, 1.7e308)
+        with pytest.raises(pd.NumericalError, match="radius \\* tau overflows"):
+            prop.evolve(np.array([1.0, 0.0]), 2.0)
+
+    def test_overflowing_bounds_refused(self):
+        # a row sum of 2e308 is no finite bound on the spectrum
+        bands = {0: np.array([1e308, -1e308]), 1: np.array([1e308]), -1: np.array([1e308])}
+        with pytest.raises(pd.NumericalError, match="spectral bounds .* overflow"):
+            oracle.ChebyshevPropagator(BandedOperator(bands, 2))
+
     def test_evolve_refuses_before_allocating(self):
         cfg = ohmic_mode_config(n_modes=1, n_max=1)
         prop = oracle.ChebyshevPropagator(pd.build_hamiltonian(cfg))

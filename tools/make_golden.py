@@ -1,7 +1,7 @@
-"""Regenerate the golden CSV references under tests/golden.
+"""Regenerate the golden CSV and SVG references under tests/golden.
 
-Runs every entry of tests/golden_runs.py and writes each CSV it produces,
-xz-compressed, to tests/golden/<run>/<stem>.csv.xz, replacing the old set.
+Runs every entry of tests/golden_runs.py and writes each file it keeps,
+xz-compressed, to tests/golden/<run>/<name>.xz, replacing the old set.
 Regenerate only for an intended output change, and state the change and its
 size where the change is described. The Tier-1 tests do not run this script.
 
@@ -26,9 +26,9 @@ def main() -> int:
         for name in golden_runs.RUNS:
             dest = golden_runs.GOLDEN / name
             dest.mkdir(parents=True)
-            for csv in golden_runs.run(name, Path(tmp) / name):
-                ref = dest / (csv.name + ".xz")
-                ref.write_bytes(lzma.compress(csv.read_bytes()))
+            for path in golden_runs.run(name, Path(tmp) / name):
+                ref = dest / (path.name + ".xz")
+                ref.write_bytes(lzma.compress(path.read_bytes()))
                 print(f"{ref.relative_to(ROOT)}  {ref.stat().st_size:,} B")
     return 0
 
