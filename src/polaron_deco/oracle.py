@@ -22,11 +22,12 @@ time series from one state (exact_decoherence_reference) is propagated and
 reduced to 2x2 states in slices of at most CHUNK time points, and the
 series terms are held in blocks of at most CHUNK, so only O(CHUNK x dim)
 amplitudes are ever held. Pulse trains (run_bangbang) run one schedule
-at a time, one series per half cycle on the branch rows of rho0; the pi
-pulse is the site swap. The displacement check (lang_firsov_check) needs
-only exp(-S) applied to vacuum states, which the same series gives on the
-Hermitian -iS at tau = 1. The tests hold the series to eigendecompositions
-of Kronecker-product builds of the same H.
+at a time, one series per half cycle on the branch rows of rho0, from one
+table of series coefficients per schedule; the pi pulse is the site swap.
+The displacement check (lang_firsov_check) needs only exp(-S) applied to
+vacuum states, which the same series gives on the Hermitian -iS at
+tau = 1. The tests hold the series to eigendecompositions of
+Kronecker-product builds of the same H.
 
 Reported reduced states have the ideal system-only rotation exp(-i H_S t)
 undone, so a perfectly protected qubit returns exactly to its initial
@@ -77,7 +78,7 @@ CHUNK = 128
 SPAN_CAP = CHUNK / 2
 # a Chebyshev series stops at the first term whose bound on |J_k| is below this
 SERIES_TOL = 1e-16
-# largest Bessel table (time points x FFT length) ChebyshevPropagator.evolve
+# largest Bessel table (time points x FFT length) ChebyshevPropagator.coefficients
 # builds, the CHUNK x DIM_CAP amplitudes of one series block; a longer series
 # (radius * tau beyond ~1.9e5 for a single time) raises NumericalError
 BESSEL_CAP = CHUNK * DIM_CAP
@@ -190,13 +191,20 @@ def ohmic_mode_config(n_modes: int = 2, n_max: int = 6, coupling: float = 1.0,
     omega * s = pi mod 2pi, where the symmetric (pulse-surviving) coupling
     g_1 + g_2 vanishes; that is the regime in which the pulse train's
     per-cycle error is purely second order, see run_bangbang.
+
+    A coupling so large that some |g_j|^2 is not finite is refused.
     """
     if n_modes < 1:
         raise ConfigError("at least one bath mode is required")
     _check_dim(n_modes, n_max)  # before anything of length n_modes
     dw = OMEGA_MAX / n_modes
     w = (np.arange(n_modes) + 0.5) * dw
-    g_mag = np.sqrt(coupling * w * np.exp(-w * w) * dw)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        g_sq = coupling * w * np.exp(-w * w) * dw
+    if not np.isfinite(g_sq).all():
+        raise ConfigError(f"coupling {coupling:.6g} gives a non-finite mode coupling "
+                          f"|g_j|^2 = coupling * omega_j exp(-omega_j^2) domega")
+    g_mag = np.sqrt(g_sq)
     g1 = g_mag.astype(complex)
     g2 = g_mag * np.exp(-1j * w * s)
     return TruncatedBathConfig(
@@ -224,25 +232,47 @@ class BandedOperator:
     """A square matrix held as its diagonals that have a nonzero entry, plus
     the main diagonal: bands = {offset: diagonal} in ascending offset order,
     the diagonal at offset o holding the entries [r, r + o], as
-    np.diagonal(matrix, o) would."""
+    np.diagonal(matrix, o) would.
+
+    Products have one path, _apply: the main diagonal times x (less an
+    optional term), then each off-diagonal band multiplied into a scratch
+    buffer and added to the rows it touches, all in place. The rows and
+    entries of each band are sliced once per operator; _operands binds
+    them to given buffers, so that a caller reusing its buffers (the
+    Chebyshev recurrence) also reuses the views.
+    """
 
     def __init__(self, bands: dict, dim: int):
         self.bands = dict(sorted({0: np.zeros(dim, dtype=complex), **bands}.items()))
         self.shape = (dim, dim)
+        # (diagonal, rows it writes, entries of x it reads) per off-diagonal band
+        self._off = [(d, slice(max(0, -o), dim - max(0, o)), slice(max(0, o), dim - max(0, -o)))
+                     for o, d in self.bands.items() if o]
 
     def toarray(self) -> np.ndarray:
         """The dense matrix (for references and tests; no route needs it)."""
         return sum(np.diag(d, o) for o, d in self.bands.items())
 
-    def add_product(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """out += (this matrix) x for states along the last axis; returns out."""
-        n = self.shape[0]
-        for o, d in self.bands.items():
-            if o >= 0:
-                out[..., :n - o] += d * x[..., o:]
-            else:
-                out[..., -o:] += d * x[..., :n + o]
+    def _operands(self, x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> list:
+        """(diagonal, out rows, tmp rows, x entries) views of every
+        off-diagonal band, for states along the last axis of the buffers."""
+        return [(d, out[..., rows], tmp[..., rows], x[..., cols]) for d, rows, cols in self._off]
+
+    def _apply(self, x: np.ndarray, out: np.ndarray, minus, operands: list) -> np.ndarray:
+        """out = (this matrix) x - minus (minus None for none), with operands
+        from _operands(x, out, tmp); returns out."""
+        np.multiply(self.bands[0], x, out=out)
+        if minus is not None:
+            np.subtract(out, minus, out=out)
+        for d, rows, scratch, entries in operands:
+            np.multiply(d, entries, out=scratch)
+            np.add(rows, scratch, out=rows)
         return out
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """(this matrix) x for states along the last axis, as a new array."""
+        out = np.empty(np.shape(x), dtype=complex)
+        return self._apply(x, out, None, self._operands(x, out, np.empty_like(out)))
 
 
 def _banded(config: TruncatedBathConfig, particles: int, site_amps, adjoint_sign: float,
@@ -357,6 +387,14 @@ class ChebyshevPropagator:
     J_k(radius tau) T_k((H - center) / radius). The Chebyshev vectors
     T_k psi come from the three-term recurrence, and H enters only through
     products with its bands (BandedOperator).
+
+    evolve is coefficients (one Bessel table for the times) followed by
+    apply (the series on the states), so a caller that repeats one time
+    step builds its table once. The recurrence is planned: a single state
+    runs as a 1-D vector (a stack of states as rows), three ring buffers
+    and one scratch buffer hold it, each buffer's band views are built
+    once per series, and each term T_k = 2 A T_{k-1} - T_{k-2} is one
+    BandedOperator product with the main diagonal fused with -T_{k-2}.
     """
 
     def __init__(self, ham: BandedOperator):
@@ -384,36 +422,40 @@ class ChebyshevPropagator:
             {o: scale * (d - self.center) if o == 0 else scale * d
              for o, d in ham.bands.items()}, n)
 
-    def _step(self, x: np.ndarray, out: np.ndarray) -> None:
-        """out += 2 (H - center) x / radius for states along the last axis."""
-        self._step_operator.add_product(x, out)
-
     def _chebyshev_blocks(self, psi: np.ndarray, n_terms: int):
-        """Yield (k0, block): block[i] = T_{k0 + i}((H - center) / radius) psi,
-        blocks of at most CHUNK terms, so the series is never held whole."""
-        block = np.empty((min(CHUNK, n_terms),) + psi.shape, dtype=complex)
-        prev = cur = None
+        """Yield (k0, block): block[i] = T_{k0 + i}((H - center) / radius) psi
+        flattened, blocks of at most CHUNK terms, so the series is never held
+        whole.
+
+        Term k is computed in ring slot k % 3 from the two slots before it,
+        then copied into its block row.
+        """
+        step = self._step_operator
+        n = step.shape[0]
+        states = psi.reshape((n,) if psi.size == n else (-1, n))
+        ring = np.empty((3,) + states.shape, dtype=complex)
+        ring[0] = states
+        tmp = np.empty_like(states)
+        # slot s is written from slot s - 1 (and slot s - 2)
+        operands = [step._operands(ring[s - 1], ring[s], tmp) for s in range(3)]
+        block = np.empty((min(CHUNK, n_terms), psi.size), dtype=complex)
+        rows = block.reshape((len(block),) + states.shape)
         for k in range(n_terms):
-            row = block[k % CHUNK]  # prev and cur are the two rows before it
-            if k == 0:
-                row[...] = psi
-            elif k == 1:
-                row[...] = 0.0
-                self._step(psi, row)
-                row *= 0.5
-            else:
-                np.negative(prev, out=row)
-                self._step(cur, row)
-            prev, cur = cur, row
+            s = k % 3
+            if k == 1:
+                step._apply(ring[0], ring[1], None, operands[1])
+                ring[1] *= 0.5
+            elif k > 1:
+                step._apply(ring[s - 1], ring[s], ring[s - 2], operands[s])
+            rows[k % CHUNK] = ring[s]
             if k % CHUNK == len(block) - 1 or k == n_terms - 1:
                 yield k - k % CHUNK, block[:k % CHUNK + 1]
 
-    def evolve(self, psi: np.ndarray, tau) -> np.ndarray:
-        """exp(-i H tau) psi for every tau, shape np.shape(tau) + psi.shape:
-        one Chebyshev series with as many terms as the largest radius * tau
-        needs, summed by one product per block of terms. psi may be a stack
-        of states along its leading axes."""
-        psi = np.asarray(psi, dtype=complex)
+    def coefficients(self, tau) -> np.ndarray:
+        """The series coefficients exp(-i center tau) (2 - delta_k0) (-i)^k
+        J_k(radius tau), one row per tau (raveled), as many terms as the
+        largest radius * tau needs; NumericalError when radius * tau
+        overflows or the Bessel table exceeds BESSEL_CAP."""
         tau = np.asarray(tau, dtype=float)
         # the largest radius * tau, as a float product that overflows to inf
         # without the warning the array product would print
@@ -423,11 +465,24 @@ class ChebyshevPropagator:
                                  f"tau = {float(np.max(tau)):.6g}")
         x = self.radius * tau.ravel()
         coef = _bessel_coefficients(x, _series_length(x_max))
-        coef = coef * np.exp(-1j * self.center * tau.ravel())[:, None]
+        return coef * np.exp(-1j * self.center * tau.ravel())[:, None]
+
+    def apply(self, coef: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """The series of coefficients() rows applied to psi, shape
+        (len(coef),) + psi.shape: one recurrence, summed by one product per
+        block of terms. psi may be a stack of states along its leading axes."""
+        psi = np.asarray(psi, dtype=complex)
         out = np.zeros((len(coef), psi.size), dtype=complex)
         for k0, block in self._chebyshev_blocks(psi, coef.shape[1]):
-            out += coef[:, k0:k0 + len(block)] @ block.reshape(len(block), -1)
-        return out.reshape(tau.shape + psi.shape)
+            out += coef[:, k0:k0 + len(block)] @ block
+        return out.reshape((len(coef),) + psi.shape)
+
+    def evolve(self, psi: np.ndarray, tau) -> np.ndarray:
+        """exp(-i H tau) psi for every tau, shape np.shape(tau) + psi.shape:
+        one Chebyshev series with as many terms as the largest radius * tau
+        needs. psi may be a stack of states along its leading axes."""
+        return self.apply(self.coefficients(tau), psi).reshape(
+            np.shape(tau) + np.shape(psi))
 
     def series(self, psi: np.ndarray, t):
         """Yield (ts, exp(-i H (ts - t[0])) psi) over consecutive equal slices
@@ -496,8 +551,7 @@ def _transformed(config: TruncatedBathConfig, particles: int, rows: np.ndarray):
     gen = lang_firsov_generator(config, particles)
     minus_i_s = BandedOperator({o: -1j * d for o, d in gen.bands.items()}, gen.shape[0])
     displaced = ChebyshevPropagator(minus_i_s).evolve(rows, 1.0)
-    h_displaced = build_hamiltonian(config, particles).add_product(
-        displaced, np.zeros_like(displaced))
+    h_displaced = build_hamiltonian(config, particles).product(displaced)
     return displaced, displaced.conj() @ h_displaced.T
 
 
@@ -685,7 +739,10 @@ def run_bangbang(config: TruncatedBathConfig, rho0: DensityMatrixST,
     the ideal rotation.
     Each schedule runs on its own from the branch rows of rho0: every half
     cycle swaps the sites and advances all rows by one Chebyshev series
-    over dt, so a schedule of N cycles takes 2 N series.
+    over dt, so a schedule of N cycles takes 2 N series. The series
+    coefficients depend on dt alone, so each schedule builds its Bessel
+    table once (ChebyshevPropagator.coefficients) and applies it in all
+    2 N half cycles (ChebyshevPropagator.apply).
     The cost grows with radius * total_time (a series over dt has about
     radius * dt terms), where an eigendecomposition would cost one fixed
     dim^3; at the CLI default T = 4 the series is the faster of the two.
@@ -720,9 +777,10 @@ def run_bangbang(config: TruncatedBathConfig, rho0: DensityMatrixST,
     distance_free = distance(psi_free)
     results = []
     for sched in schedules:
+        coef = prop.coefficients(sched.delta_t)
         psi = psi0
         for _ in range(2 * sched.cycles):
-            psi = prop.evolve(_site_swap(psi), sched.delta_t)
+            psi = prop.apply(coef, _site_swap(psi))[0]
         results.append(BangBangResult(
             delta_t=sched.delta_t, n_cycles=sched.cycles,
             distance_pulsed=distance(psi), distance_free=distance_free))

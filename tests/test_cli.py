@@ -633,6 +633,12 @@ EXTREME_INPUTS = {
                             "--nmax", "1", "--tmax", "4", "--dt", "2"], None, 3),
     "overflowing-j-bangbang": (["bangbang", "--j", "1e308", "--modes", "1", "--nmax", "1"],
                                None, 3),
+    # a coupling whose mode couplings |g_j|^2 overflow: refused by name,
+    # with no overflow warning before the record
+    "overflowing-lambda-oracle": (["oracle-compare", "--lambda", "1e308", "--modes", "1",
+                                   "--nmax", "1", "--tmax", "1", "--dt", "0.5"], None, 2),
+    "overflowing-lambda-bangbang": (["bangbang", "--lambda", "1e308", "--modes", "1",
+                                     "--nmax", "1"], None, 2),
 }
 
 

@@ -132,6 +132,13 @@ class TestConfig:
         assert cfg.j_tilde() == pytest.approx(np.exp(-0.125))
         assert cfg.delta_e_b() == 1.0
 
+    @pytest.mark.parametrize("coupling", [1e308, np.inf, np.nan])
+    def test_ohmic_overflowing_coupling(self, coupling):
+        # refused by name, without the overflow warning of the product
+        # (a RuntimeWarning fails the test) and before TruncatedBathConfig
+        with pytest.raises(ConfigError, match="coupling .* non-finite mode coupling"):
+            ohmic_mode_config(n_modes=1, n_max=1, coupling=coupling)
+
     def test_ohmic_discretization(self):
         cfg = ohmic_mode_config(n_modes=2, n_max=4, coupling=1.0, s=1.0, j_hop=0.3)
         assert cfg.mode_freqs == (1.0, 3.0)
@@ -472,6 +479,97 @@ class TestChebyshev:
         assert np.max(np.abs(states - Propagator(kron_hamiltonian(cfg)).evolve(psi, t))) <= 1e-12
 
 
+class TestPlannedStep:
+    # the recurrence runs a single state as one vector and a stack as rows,
+    # on three ring buffers whose band views are built once per series
+    @pytest.mark.parametrize("name", ["complex-asymmetric", "one-mode-n_max-10", "ohmic-3x7"])
+    def test_single_state_forms_agree(self, name):
+        cfg = KRON_CONFIGS[name]()
+        prop = oracle.ChebyshevPropagator(pd.build_hamiltonian(cfg))
+        rng = np.random.default_rng(5)
+        stack = rng.normal(size=(2, cfg.dim)) + 1j * rng.normal(size=(2, cfg.dim))
+        stack /= np.linalg.norm(stack, axis=1, keepdims=True)
+        t = np.array([0.0, 0.3, 1.7, 5.0])
+        flat = prop.evolve(stack[0], t)
+        row = prop.evolve(stack[:1], t)[:, 0]
+        stacked = prop.evolve(stack, t)[:, 0]
+        dense = Propagator(kron_hamiltonian(cfg)).evolve(stack[0], t)
+        assert flat.shape == row.shape == stacked.shape == (len(t), cfg.dim)
+        for form in (flat, row, stacked):
+            assert np.max(np.abs(form - dense)) <= 1e-12
+        assert np.max(np.abs(flat - row)) <= 1e-14
+        assert np.max(np.abs(flat - stacked)) <= 1e-14
+
+    @pytest.mark.parametrize("rows", [(), (1,), (2,)])
+    def test_series_longer_than_a_block(self, rows):
+        # every term of a series of several blocks, computed on the ring,
+        # against the dense three-term recurrence on (H - center) / radius
+        cfg = LOCKSTEP_CONFIGS["lab-asymmetric"]()
+        prop = oracle.ChebyshevPropagator(pd.build_hamiltonian(cfg))
+        rng = np.random.default_rng(7)
+        psi = rng.normal(size=rows + (cfg.dim,)) + 1j * rng.normal(size=rows + (cfg.dim,))
+        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+        n_terms = 2 * CHUNK + 9
+        # the generator refills one block buffer, so each block is copied
+        blocks = [(k0, b.copy()) for k0, b in prop._chebyshev_blocks(psi, n_terms)]
+        assert [(k0, len(b)) for k0, b in blocks] == [(0, CHUNK), (CHUNK, CHUNK), (2 * CHUNK, 9)]
+        a = (kron_hamiltonian(cfg) - prop.center * np.eye(cfg.dim)) / prop.radius
+        terms = [psi.reshape(-1, cfg.dim).T, a @ psi.reshape(-1, cfg.dim).T]
+        while len(terms) < n_terms:
+            terms.append(2.0 * a @ terms[-1] - terms[-2])
+        expected = np.array([x.T.reshape(psi.size) for x in terms])
+        series = np.concatenate([b for _, b in blocks])
+        assert series.shape == (n_terms, psi.size)
+        assert np.max(np.abs(series - expected)) <= 1e-12
+        # and the whole series against the eigendecomposition
+        tau = 0.9 * n_terms / prop.radius
+        assert oracle._series_length(prop.radius * tau) > 2 * CHUNK
+        dense = Propagator(kron_hamiltonian(cfg)).evolve(psi, tau)
+        assert np.max(np.abs(prop.evolve(psi, tau) - dense)) <= 1e-12
+
+    @pytest.mark.parametrize("particles", [1, 2])
+    def test_product_matches_dense(self, particles):
+        cfg = KRON_CONFIGS["complex-asymmetric"]()
+        ham = pd.build_hamiltonian(cfg, particles)
+        n = ham.shape[0]
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        dense = kron_hamiltonian(cfg, particles)
+        assert np.max(np.abs(ham.product(x) - x @ dense.T)) <= 1e-13
+        assert np.max(np.abs(ham.product(x[0]) - dense @ x[0])) <= 1e-13
+
+    def test_lang_firsov_through_the_shared_product(self, monkeypatch):
+        # the products with H and the recurrence steps of -iS all take the
+        # one BandedOperator path
+        cfg = LANG_FIRSOV_CONFIGS["complex-asymmetric"]()
+        apply = oracle.BandedOperator._apply
+        sizes = []
+
+        def counting(self, x, out, minus, operands):
+            sizes.append(self.shape[0])
+            return apply(self, x, out, minus, operands)
+
+        monkeypatch.setattr(oracle.BandedOperator, "_apply", counting)
+        report = pd.lang_firsov_check(cfg)
+        assert sizes.count(cfg.dim) >= 2 and sizes.count(cfg.bath_dim) >= 2
+        hop, shift = dense_lang_firsov(cfg)
+        assert abs(report.hop_measured - abs(hop)) <= 1e-10
+        assert abs(report.two_particle_shift - shift) <= 1e-10
+
+    def test_coefficients_once_per_schedule(self):
+        # apply on one table repeats evolve at that time step exactly
+        cfg = LOCKSTEP_CONFIGS["lab-asymmetric"]()
+        prop = oracle.ChebyshevPropagator(pd.build_hamiltonian(cfg))
+        psi = _vacuum_state([[0.6, 0.8j], [1.0, 0.0]], cfg.bath_dim)
+        coef = prop.coefficients(0.25)
+        assert coef.shape == (1, oracle._series_length(prop.radius * 0.25))
+        a, b = psi, psi
+        for _ in range(3):
+            a = prop.apply(coef, _site_swap(a))[0]
+            b = prop.evolve(_site_swap(b), 0.25)
+        assert np.array_equal(a, b)
+
+
 class TestSeriesCap:
     # sizes a missing cap turns into a quick failure, not a hang or an
     # allocation; the CLI tests run the endless cases under a timeout
@@ -734,30 +832,30 @@ class TestLockstep:
         rho0 = LOCKSTEP_STATES[state]()
         nb = len(oracle._initial_site_branches(rho0))
         radius = oracle.ChebyshevPropagator(pd.build_hamiltonian(cfg)).radius
-        step = oracle.ChebyshevPropagator._step
+        apply = oracle.BandedOperator._apply
         bessel = oracle._bessel_coefficients
-        rows, series_x = [], []
+        shapes, series_x = [], []
 
-        def counting(self, x, out):
-            rows.append(len(x))
-            return step(self, x, out)
+        def counting(self, x, out, minus, operands):
+            shapes.append(x.shape)
+            return apply(self, x, out, minus, operands)
 
         def counting_bessel(x, n_terms):
             series_x.extend(x)
             return bessel(x, n_terms)
 
-        monkeypatch.setattr(oracle.ChebyshevPropagator, "_step", counting)
+        monkeypatch.setattr(oracle.BandedOperator, "_apply", counting)
         monkeypatch.setattr(oracle, "_bessel_coefficients", counting_bessel)
         pd.run_bangbang(cfg, rho0, [PulseSchedule(4.0, n) for n in cycles])
-        # one series over T for the free evolution, then the schedules in
-        # their given order, each with one series over its own dt per half cycle
-        expected_x = [radius * 4.0]
-        for n in cycles:
-            expected_x += [radius * (4.0 / (2 * n))] * (2 * n)
-        assert series_x == expected_x
-        # a series of L terms takes L - 1 recurrence steps, each on the
-        # branch rows of rho0 alone
-        assert rows == [nb] * sum(oracle._series_length(x) - 1 for x in expected_x)
+        # one Bessel table over T for the free evolution, then one per
+        # schedule, in their given order, over its own dt
+        assert series_x == [radius * 4.0] + [radius * (4.0 / (2 * n)) for n in cycles]
+        # the free series, then one series per half cycle: a series of L
+        # terms takes L - 1 recurrence steps, each on the branch rows of
+        # rho0 alone (a single branch as one vector)
+        steps = oracle._series_length(radius * 4.0) - 1 + sum(
+            2 * n * (oracle._series_length(radius * (4.0 / (2 * n))) - 1) for n in cycles)
+        assert shapes == [(cfg.dim,) if nb == 1 else (nb, cfg.dim)] * steps
 
     @pytest.mark.parametrize("state", list(LOCKSTEP_STATES))
     def test_long_half_cycle_matches_complex_route(self, state):
