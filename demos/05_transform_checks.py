@@ -4,9 +4,7 @@ Three statements are checked by direct computation rather than trusted:
 
 1. The displacement e^-S turns each site's bath vacuum into a product of
    coherent states, and the transform e^S H e^-S turns the bare hopping
-   into J exp(-sum |alpha_k|^2 / 2) (reported with its phase); on the
-   two-particle block it produces the polaron energy shift and the
-   bath-mediated site-site interaction.
+   into J exp(-sum |alpha_k|^2 / 2) (reported with its phase).
 2. The tau = 0 correlation kernel from quadrature coincides with its
    Dawson-function closed form (two fully independent evaluation routes).
 3. The would-be energy-shift term of the rate equation multiplies
@@ -35,8 +33,6 @@ print(f"  dressed hopping |<1,vac|H'|2,vac>|  : {report.hop_measured:.10f}")
 print(f"  its phase arg <1,vac|H'|2,vac>      : {report.hop_phase:+.2e} rad")
 print(f"  expected J exp(-|alpha|^2/2)        : {report.hop_expected:.10f}")
 print(f"  Fock-truncation tail estimate       : {report.truncation_tail:.1e}")
-print(f"  two-particle vacuum energy          : {report.two_particle_shift:+.10f}")
-print(f"  expected -sum|g|^2/w - V12 + 2 eps  : {report.two_particle_expected:+.10f}")
 
 # 2. kernel zero, quadrature route vs special-function route
 print("\nkernel normalization, quadrature vs Dawson closed form")

@@ -422,8 +422,8 @@ def selftest() -> bool:
     def _lang_firsov():
         cfg = oracle.TruncatedBathConfig(
             mode_freqs=(1.0,), g_site1=(0.5,), g_site2=(0.0,), n_max=10, j_hop=1.0)
-        rep = oracle.lang_firsov_check(cfg, include_two_particle=False)
-        if rep.displaced_vacuum_dev > 1e-8 or rep.hop_error > 1e-3:
+        rep = oracle.lang_firsov_check(cfg)
+        if rep.displaced_vacuum_dev > 1e-8 or rep.hop_error > 1e-3 or not rep.conclusive:
             raise NumericalError("displacement-transform check failed")
 
     def _exact_propagation():

@@ -6,9 +6,8 @@ itself: numerical verification of the displacement (polaron) transformation,
 a brute-force decoherence reference in the anti-adiabatic regime, and the
 pulse-train (bang-bang) protection protocol with measured error scaling.
 
-Everything is restricted to the single-particle sector (plus an optional
-two-particle block for the induced interaction check), so the Hilbert space
-is 2 * (n_max + 1)^n_modes.
+Everything is restricted to the one-particle sector, the paper's fixed
+particle number, so the Hilbert space is 2 * (n_max + 1)^n_modes.
 
 Operators are BandedOperators, written from one occupation table of the
 bath basis (mode 0 slowest, the Kronecker order): H_bath is the main
@@ -53,7 +52,6 @@ __all__ = [
     "PulseSchedule",
     "ohmic_mode_config",
     "build_hamiltonian",
-    "lang_firsov_generator",
     "lang_firsov_check",
     "BandedOperator",
     "ChebyshevPropagator",
@@ -153,12 +151,6 @@ class TruncatedBathConfig:
     def delta_e_b(self) -> float:
         """Minimum bath excitation energy (smallest mode frequency)."""
         return min(self.mode_freqs)
-
-    def induced_interaction(self) -> float:
-        """Bath-mediated two-particle coupling sum_k 2 Re(g_1k* g_2k)/omega_k."""
-        g1 = np.array(self.g_site1)
-        g2 = np.array(self.g_site2)
-        return float(np.sum(2.0 * (np.conj(g1) * g2).real / np.array(self.mode_freqs)))
 
 
 def _check_dim(n_modes: int, n_max: int) -> None:
@@ -275,62 +267,52 @@ class BandedOperator:
         return self._apply(x, out, None, self._operands(x, out, np.empty_like(out)))
 
 
-def _banded(config: TruncatedBathConfig, particles: int, site_amps, adjoint_sign: float,
-            eps: float, freqs, hop: float) -> BandedOperator:
-    """particles * eps + sum_k freqs_k n_k on the main diagonal, plus
-    sum_{p,k} n_p (a_pk b_k + adjoint_sign * conj(a_pk) b_k^dag) with
-    site_amps = (a_1k, a_2k), plus hop times the site swap, as the bands of
-    one fermion-number block.
+def _banded(config: TruncatedBathConfig, site_amps, eps: float, freqs,
+            hop: float) -> BandedOperator:
+    """eps + sum_k freqs_k n_k on the main diagonal, plus
+    sum_{p,k} n_p (a_pk b_k + conj(a_pk) b_k^dag) with site_amps =
+    (a_1k, a_2k), plus hop times the site swap: a Hermitian operator on the
+    one-particle block, as bands.
 
-    a_pk b_k writes a_pk sqrt(n_k + 1) at offset +stride_k on every row with
-    n_k < n_max, its adjoint the mirror entry at -stride_k. In the
-    one-particle block site p's amplitudes fill the rows of its bath block;
-    in the two-particle block both sites act on every row.
+    a_pk b_k writes a_pk sqrt(n_k + 1) at offset +stride_k on every row of
+    site p's bath block with n_k < n_max, its adjoint the mirror entry at
+    -stride_k.
     """
-    if particles not in (1, 2):
-        raise ConfigError(f"particles must be 1 or 2, got {particles}")
     occ, strides = _bath_ladders(config)
     db = config.bath_dim
-    sites = 3 - particles  # bath blocks in the block: one per site, or one
-    bands = {0: np.tile(particles * eps + sum(w * n for w, n in zip(freqs, occ)),
-                        sites).astype(complex)}
+    bands = {0: np.tile(eps + sum(w * n for w, n in zip(freqs, occ)), 2).astype(complex)}
     for k, (n, stride) in enumerate(zip(occ, strides)):
         raised = np.flatnonzero(n < config.n_max)
         root = np.sqrt(n[raised] + 1.0)
-        up, down = np.zeros((2, sites * db), dtype=complex)
+        up, down = np.zeros((2, 2 * db), dtype=complex)
         for p, amps in enumerate(site_amps):
-            rows = raised + (db * p if particles == 1 else 0)
-            up[rows] += amps[k] * root
-            down[rows] += adjoint_sign * np.conj(amps[k]) * root
+            up[raised + db * p] += amps[k] * root
+            down[raised + db * p] += np.conj(amps[k]) * root
         if np.any(up):
             bands[stride], bands[-stride] = up[:-stride], down[:-stride]
     if hop:
         bands[db] = bands[-db] = np.full(db, hop, dtype=complex)
-    return BandedOperator(bands, sites * db)
+    return BandedOperator(bands, 2 * db)
 
 
-def build_hamiltonian(config: TruncatedBathConfig, particles: int = 1) -> BandedOperator:
-    """Hamiltonian of one fermion-number block, as bands.
-
-    particles=1 (default): basis |site> (x) |Fock>, dimension 2 * bath_dim,
+def build_hamiltonian(config: TruncatedBathConfig) -> BandedOperator:
+    """Hamiltonian of the one-particle block, as bands: basis
+    |site> (x) |Fock>, dimension 2 * bath_dim,
     H = eps*(n1+n2) + J*(site swap) + H_bath + site-conditioned couplings.
-    particles=2: the single state |11> (x) |Fock>; hopping is Pauli blocked
-    and both couplings add.
 
-    Block diagonality in total fermion number is structural (each block is
-    built separately); Hermiticity is exact (mirror entries are conjugates).
+    Hermiticity is exact (mirror entries are conjugates).
     """
-    return _banded(config, particles, (config.g_site1, config.g_site2), 1.0,
-                   config.epsilon_onsite, config.mode_freqs,
-                   config.j_hop if particles == 1 else 0.0)
+    return _banded(config, (config.g_site1, config.g_site2), config.epsilon_onsite,
+                   config.mode_freqs, config.j_hop)
 
 
-def lang_firsov_generator(config: TruncatedBathConfig, particles: int = 1) -> BandedOperator:
-    """Anti-Hermitian generator of the displacement transformation,
-    S = -sum_{p,k} n_p (g_pk b_k - g_pk^* b_k^dag) / omega_k, in one block."""
-    amps = [[-g / w for g, w in zip(gs, config.mode_freqs)]
+def _minus_i_generator(config: TruncatedBathConfig) -> BandedOperator:
+    """The Hermitian -iS of the anti-Hermitian displacement generator
+    S = -sum_{p,k} n_p (g_pk b_k - g_pk^* b_k^dag) / omega_k, whose
+    propagator exp(-i (-iS) tau) is exp(-S) at tau = 1."""
+    amps = [[1j * g / w for g, w in zip(gs, config.mode_freqs)]
             for gs in (config.g_site1, config.g_site2)]
-    return _banded(config, particles, amps, -1.0, 0.0, [0.0] * config.n_modes, 0.0)
+    return _banded(config, amps, 0.0, [0.0] * config.n_modes, 0.0)
 
 
 def _require_hermitian(dev: float) -> None:
@@ -512,8 +494,6 @@ class LangFirsovReport:
     truncation_tail: float
     suggested_n_max: int
     conclusive: bool
-    two_particle_shift: float | None
-    two_particle_expected: float | None
 
     @property
     def hop_error(self) -> float:
@@ -544,17 +524,6 @@ def _coherent_tail(weights: np.ndarray, n_max: int) -> float:
     return float(np.sum(np.where(low, omitted, 1.0 - kept)))
 
 
-def _transformed(config: TruncatedBathConfig, particles: int, rows: np.ndarray):
-    """exp(-S) v for the state rows v of one fermion-number block, from the
-    series of the Hermitian -iS at tau = 1, and the matrix of elements
-    <v_i| exp(S) H exp(-S) |v_j>, from one band product with H."""
-    gen = lang_firsov_generator(config, particles)
-    minus_i_s = BandedOperator({o: -1j * d for o, d in gen.bands.items()}, gen.shape[0])
-    displaced = ChebyshevPropagator(minus_i_s).evolve(rows, 1.0)
-    h_displaced = build_hamiltonian(config, particles).product(displaced)
-    return displaced, displaced.conj() @ h_displaced.T
-
-
 def _coherent_vacuum(config: TruncatedBathConfig, betas) -> np.ndarray:
     """The product of coherent states, prod_k exp(-|beta_k|^2 / 2)
     beta_k^{n_k} / sqrt(n_k!), over the bath basis up to n_max: the exact
@@ -566,43 +535,40 @@ def _coherent_vacuum(config: TruncatedBathConfig, betas) -> np.ndarray:
     return np.prod([a[n_k] for a, n_k in zip(amps, occ)], axis=0)
 
 
-def lang_firsov_check(config: TruncatedBathConfig,
-                      include_two_particle: bool = True) -> LangFirsovReport:
+def lang_firsov_check(config: TruncatedBathConfig) -> LangFirsovReport:
     """Numerical verification of the displacement transformation.
 
-    exp(-S)|p, vac> for both sites comes from one series of -iS, and one
-    product with H gives <1, vac| exp(S) H exp(-S) |2, vac>: its magnitude
-    should be J exp(-sum|alpha_k|^2 / 2), and its phase is reported. The
-    series states are held to the product of coherent states with
-    beta_pk = -g_pk^* / omega_k, which they equal up to the Fock cutoff
-    (displaced_vacuum_dev). Optionally the two-particle block's vacuum
-    energy <vac| exp(S) H_2 exp(-S) |vac> should carry the polaron shift
-    -sum_k (|g_1k|^2 + |g_2k|^2)/omega_k minus the induced interaction. A
-    Poisson estimate of the displaced-vacuum weight beyond n_max qualifies
-    the result: above TAIL_THRESHOLD the report is marked inconclusive and
-    suggests a larger cutoff.
+    exp(-S)|p, vac> for both sites comes from one series of -iS at tau = 1,
+    and one product with H gives <1, vac| exp(S) H exp(-S) |2, vac>: its
+    magnitude should be J exp(-sum|alpha_k|^2 / 2), and its phase is
+    reported. The series states are held to the product of coherent states
+    with beta_pk = -g_pk^* / omega_k, which they equal up to the Fock
+    cutoff (displaced_vacuum_dev). The Poisson weight beyond n_max of those
+    per-site displaced vacua, of |beta_pk|^2 = |g_pk|^2 / omega_k^2 and the
+    larger of the two sites (truncation_tail), qualifies the result: above
+    TAIL_THRESHOLD the report is marked inconclusive and suggests a larger
+    cutoff.
     """
     db = config.bath_dim
     w = np.array(config.mode_freqs)
     g = np.array([config.g_site1, config.g_site2])
-    displaced, elements = _transformed(config, 1, _vacuum_state(np.eye(2), db))
+    displaced = ChebyshevPropagator(_minus_i_generator(config)).evolve(
+        _vacuum_state(np.eye(2), db), 1.0)
+    # <v_i| exp(S) H exp(-S) |v_j> of the displaced vacua v
+    elements = displaced.conj() @ build_hamiltonian(config).product(displaced).T
     coherent = np.zeros_like(displaced)
     for p in range(2):
         coherent[p, p * db:(p + 1) * db] = _coherent_vacuum(config, -np.conj(g[p]) / w)
 
-    tail = _coherent_tail(config.alpha_weights(), config.n_max)
-    suggested = config.n_max
-    while suggested < 60 and _coherent_tail(config.alpha_weights(), suggested) > TAIL_THRESHOLD:
-        suggested += 2
+    site_weights = np.abs(g / w) ** 2
 
-    two_shift = two_expected = None
-    if include_two_particle:
-        two_shift = float(_transformed(config, 2, np.eye(1, db))[1][0, 0].real)
-        two_expected = float(
-            2.0 * config.epsilon_onsite
-            - np.sum(np.abs(g) ** 2 / w)
-            - config.induced_interaction()
-        )
+    def tail_at(n_max):
+        return max(_coherent_tail(weights, n_max) for weights in site_weights)
+
+    tail = tail_at(config.n_max)
+    suggested = config.n_max
+    while suggested < 60 and tail_at(suggested) > TAIL_THRESHOLD:
+        suggested += 2
 
     return LangFirsovReport(
         displaced_vacuum_dev=float(np.max(np.abs(displaced - coherent))),
@@ -612,8 +578,6 @@ def lang_firsov_check(config: TruncatedBathConfig,
         truncation_tail=tail,
         suggested_n_max=suggested,
         conclusive=tail <= TAIL_THRESHOLD,
-        two_particle_shift=two_shift,
-        two_particle_expected=two_expected,
     )
 
 

@@ -2,10 +2,12 @@
 
 Each mode's annihilator is a Kronecker chain of identities around one
 (n_max + 1)-level ladder matrix, and each b^dag b is a dense matrix product.
-oracle.build_hamiltonian and oracle.lang_firsov_generator write the same
-operators as bands from an occupation table; the tests hold toarray() of
+oracle.build_hamiltonian and oracle._minus_i_generator write the one-particle
+H and -iS as bands from an occupation table; the tests hold toarray() of
 those bands to these matrices to round-off, and the dense references of
-tests/oracle_reference.py take their H and S from here.
+tests/oracle_reference.py take their H and S from here. The two-particle
+block (particles=2), which the one-particle oracle does not build, is here
+for the polaron-shift check of the tests alone.
 """
 
 import math

@@ -10,7 +10,8 @@ applies the eigendecomposition to the whole time grid as one amplitude
 block. oracle.lang_firsov_check applies exp(-S) to vacuum states by a
 series; dense_lang_firsov transforms the whole Kronecker-built H by the
 unitary exp(S). The tests hold the production routes to them, which share
-neither the band builder nor the series.
+neither the band builder nor the series. dense_lang_firsov also transforms
+the two-particle block, which only the tests build, for the polaron shift.
 """
 
 import numpy as np
@@ -117,7 +118,8 @@ def unitary_from_generator(s_matrix: np.ndarray) -> np.ndarray:
 
 def dense_lang_firsov(config):
     """<1, vac| exp(S) H exp(-S) |2, vac> and the two-particle vacuum energy
-    <vac| exp(S) H_2 exp(-S) |vac>, from the whole transformed matrices."""
+    <vac| exp(S) H_2 exp(-S) |vac>, from the whole transformed matrices of
+    the one- and two-particle blocks."""
     u = unitary_from_generator(kron_generator(config))
     hop = (u @ kron_hamiltonian(config) @ u.conj().T)[0, config.bath_dim]
     u2 = unitary_from_generator(kron_generator(config, particles=2))

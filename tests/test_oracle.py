@@ -25,10 +25,10 @@ from polaron_deco.oracle import (
     _ST_FROM_SITE,
     BandedOperator,
     _ideal_rotation,
+    _minus_i_generator,
     _site_swap,
     _trace_distance,
     _vacuum_state,
-    lang_firsov_generator,
     ohmic_mode_config,
 )
 from conftest import fig2_state
@@ -185,45 +185,33 @@ class TestHamiltonian:
         for o, d in ham.bands.items():
             assert np.array_equal(ham.bands[-o], np.conj(d))
 
-    def test_two_particle_block(self):
-        cfg = single_mode(alpha=0.5, n_max=6, eps=0.3)
-        ham2 = pd.build_hamiltonian(cfg, particles=2)
-        assert ham2.shape == (7, 7)
-        assert ham2.bands[0][0] == pytest.approx(0.6)  # 2*eps + vacuum
-
-    def test_invalid_sector(self):
-        # particles=0 (the bare bath block) has no caller and is refused too
-        for particles in (0, 3):
-            with pytest.raises(ConfigError, match="particles"):
-                pd.build_hamiltonian(single_mode(), particles=particles)
-
-    def test_generator_invalid_sector(self):
-        with pytest.raises(ConfigError, match="particles"):
-            lang_firsov_generator(single_mode(), particles=0)
-
-    @pytest.mark.parametrize("particles", [1, 2])
     @pytest.mark.parametrize("name", list(KRON_CONFIGS))
-    def test_matches_kron_reference(self, name, particles):
+    def test_matches_kron_reference(self, name):
         cfg = KRON_CONFIGS[name]()
-        assert_bands_match(pd.build_hamiltonian(cfg, particles),
-                           kron_hamiltonian(cfg, particles))
+        assert_bands_match(pd.build_hamiltonian(cfg), kron_hamiltonian(cfg))
 
-    @pytest.mark.parametrize("particles", [1, 2])
     @pytest.mark.parametrize("name", list(KRON_CONFIGS))
-    def test_generator_matches_kron_reference(self, name, particles):
+    def test_generator_matches_kron_reference(self, name):
         cfg = KRON_CONFIGS[name]()
-        assert_bands_match(lang_firsov_generator(cfg, particles),
-                           kron_generator(cfg, particles))
+        assert_bands_match(_minus_i_generator(cfg), -1j * kron_generator(cfg))
 
 
-def poisson_tail_bound(cfg):
-    """sqrt of the larger site's Poisson weight beyond n_max, summed over
-    modes, for the displacements beta_pk = -g_pk^* / omega_k; gammainc sums
-    the omitted terms, where 1 - the kept ones rounds to 0 at n_max 12."""
+def per_site_tail(cfg):
+    """The larger site's Poisson weight beyond n_max, summed over modes, for
+    the displacements beta_pk = -g_pk^* / omega_k; gammainc sums the omitted
+    terms, where 1 - the kept ones rounds to 0 at n_max 12."""
     w = np.array(cfg.mode_freqs)
-    tails = [np.sum(gammainc(cfg.n_max + 1, np.abs(np.array(g) / w) ** 2))
-             for g in (cfg.g_site1, cfg.g_site2)]
-    return math.sqrt(float(max(tails)))
+    return float(max(np.sum(gammainc(cfg.n_max + 1, np.abs(np.array(g) / w) ** 2))
+                     for g in (cfg.g_site1, cfg.g_site2)))
+
+
+# the displacement-check configs, plus sites 0.1 apart: there the per-site
+# tail (9.8e-4) and the measured truncation (9.7e-3) are far above the tail
+# of the separation weight |g_1k - g_2k|^2 / omega_k^2 (1.8e-13)
+TAIL_CONFIGS = {
+    **LANG_FIRSOV_CONFIGS,
+    "near-sites": lambda: ohmic_mode_config(n_modes=2, n_max=4, coupling=1.0, s=0.1),
+}
 
 
 class TestLangFirsov:
@@ -250,24 +238,32 @@ class TestLangFirsov:
         assert abs(r16.hop_measured - r12.hop_measured) < 1e-6
 
     def test_two_particle_shift(self):
-        cfg = TruncatedBathConfig(mode_freqs=(1.0, 2.0), g_site1=(0.3, 0.1),
-                                  g_site2=(0.2, 0.05), n_max=8, j_hop=1.0,
-                                  epsilon_onsite=0.25)
-        report = pd.lang_firsov_check(cfg)
-        # -sum (|g1|^2 + |g2|^2)/w - V12 + 2 eps
-        assert report.two_particle_expected == pytest.approx(
+        # Lang & Firsov, Sov. Phys. JETP 16, 1301 (1963): on the two-particle
+        # block the transform shifts the vacuum energy 2 eps by the polaron
+        # shift -sum_k (|g_1k|^2 + |g_2k|^2) / omega_k and the bath-mediated
+        # interaction -sum_k 2 Re(g_1k^* g_2k) / omega_k. The oracle builds one
+        # particle only, so this runs on the dense Kronecker matrices, at
+        # n_max 8, where the truncation moves the shift by less than 1e-9
+        # (6.7e-6 at complex-asymmetric's own n_max 5).
+        def expected(cfg):
+            w = np.array(cfg.mode_freqs)
+            g1, g2 = np.array(cfg.g_site1), np.array(cfg.g_site2)
+            return (2.0 * cfg.epsilon_onsite
+                    - np.sum((np.abs(g1) ** 2 + np.abs(g2) ** 2) / w)
+                    - np.sum(2.0 * (np.conj(g1) * g2).real / w))
+
+        assert expected(LANG_FIRSOV_CONFIGS["two-modes-real"]()) == pytest.approx(
             0.5 - (0.09 + 0.04) - (0.01 + 0.0025) / 2.0
             - (2 * 0.3 * 0.2 + 2 * 0.1 * 0.05 / 2.0), rel=1e-12)
-        assert report.two_particle_shift == pytest.approx(
-            report.two_particle_expected, abs=1e-8)
+        for name in ("two-modes-real", "complex-asymmetric"):
+            cfg = replace(LANG_FIRSOV_CONFIGS[name](), n_max=8)
+            assert abs(dense_lang_firsov(cfg)[1] - expected(cfg)) <= 1e-8, name
 
     def test_tail_threshold(self):
         # the displaced-vacuum weight beyond n_max = 4 is 7.6e-7 at
         # alpha = 0.40 and 1.2e-6 at 0.42, either side of the 1e-6 threshold
-        below = pd.lang_firsov_check(single_mode(alpha=0.40, n_max=4),
-                                     include_two_particle=False)
-        above = pd.lang_firsov_check(single_mode(alpha=0.42, n_max=4),
-                                     include_two_particle=False)
+        below = pd.lang_firsov_check(single_mode(alpha=0.40, n_max=4))
+        above = pd.lang_firsov_check(single_mode(alpha=0.42, n_max=4))
         assert 5e-7 < below.truncation_tail < 1e-6 < above.truncation_tail < 2e-6
         assert below.conclusive and below.suggested_n_max == 4
         assert not above.conclusive and above.suggested_n_max == 6
@@ -286,20 +282,18 @@ class TestLangFirsov:
         assert oracle._coherent_tail(w, n_max) == pytest.approx(expected, rel=1e-12)
 
     def test_reported_tail_below_rounding(self):
-        report = pd.lang_firsov_check(single_mode(alpha=0.5, n_max=12),
-                                      include_two_particle=False)
+        report = pd.lang_firsov_check(single_mode(alpha=0.5, n_max=12))
         assert report.truncation_tail == pytest.approx(gammainc(13, 0.25), rel=1e-12)
 
     def test_inconclusive_when_truncated_too_hard(self):
-        report = pd.lang_firsov_check(single_mode(alpha=2.0, n_max=2),
-                                      include_two_particle=False)
+        report = pd.lang_firsov_check(single_mode(alpha=2.0, n_max=2))
         assert not report.conclusive
         assert report.suggested_n_max > 2
 
     def test_dressing_weight_readback(self):
         # the measured hopping implies sum |alpha|^2 = -2 ln(|el| / J)
         cfg = single_mode(alpha=0.5, n_max=14)
-        report = pd.lang_firsov_check(cfg, include_two_particle=False)
+        report = pd.lang_firsov_check(cfg)
         implied = -2.0 * np.log(report.hop_measured / cfg.j_hop)
         assert implied == pytest.approx(float(cfg.alpha_weights().sum()), abs=1e-6)
 
@@ -309,9 +303,8 @@ class TestLangFirsov:
         # both built from Kronecker products
         cfg = LANG_FIRSOV_CONFIGS[name]()
         report = pd.lang_firsov_check(cfg)
-        hop, shift = dense_lang_firsov(cfg)
+        hop, _ = dense_lang_firsov(cfg)
         assert abs(report.hop_measured - abs(hop)) <= 1e-14
-        assert abs(report.two_particle_shift - shift) <= 1e-14
         assert abs(report.hop_phase - np.angle(hop)) <= 1e-12
 
     def test_hop_phase(self):
@@ -322,14 +315,26 @@ class TestLangFirsov:
             ohmic_mode_config(coupling=0.1, s=1.0, j_hop=0.1, n_max=5))
         assert report.hop_phase == pytest.approx(0.0619, abs=5e-5)
 
-    @pytest.mark.parametrize("name", list(LANG_FIRSOV_CONFIGS))
+    @pytest.mark.parametrize("name", list(TAIL_CONFIGS))
     def test_displaced_vacuum_within_poisson_tail(self, name):
         # the series state and the exact coherent-state product differ by the
         # truncation, whose norm is at most the square root of the omitted
-        # Poisson weight
-        cfg = LANG_FIRSOV_CONFIGS[name]()
-        dev = pd.lang_firsov_check(cfg, include_two_particle=False).displaced_vacuum_dev
-        assert 0.0 < dev <= poisson_tail_bound(cfg)
+        # Poisson weight; the reported tail is that weight, of the per-site
+        # displaced vacua (|g_pk|^2 / omega_k^2)
+        cfg = TAIL_CONFIGS[name]()
+        report = pd.lang_firsov_check(cfg)
+        assert report.truncation_tail == pytest.approx(per_site_tail(cfg), rel=1e-12)
+        assert 0.0 < report.displaced_vacuum_dev <= math.sqrt(report.truncation_tail)
+
+    def test_near_sites_inconclusive(self):
+        cfg = TAIL_CONFIGS["near-sites"]()
+        report = pd.lang_firsov_check(cfg)
+        assert not report.conclusive
+        # the suggested cutoff is the first (in steps of 2) whose per-site
+        # tail is within the threshold
+        n = report.suggested_n_max
+        assert per_site_tail(replace(cfg, n_max=n)) <= oracle.TAIL_THRESHOLD
+        assert per_site_tail(replace(cfg, n_max=n - 2)) > oracle.TAIL_THRESHOLD
 
     def test_no_dense_decomposition(self, monkeypatch):
         # dim 1250: vectors and bands only, no eigendecomposition
@@ -340,8 +345,7 @@ class TestLangFirsov:
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         cfg = ohmic_mode_config(4, 4, s=1.0)
         report = pd.lang_firsov_check(cfg)
-        assert 0.0 < report.displaced_vacuum_dev <= poisson_tail_bound(cfg)
-        assert np.isfinite(report.two_particle_shift)
+        assert 0.0 < report.displaced_vacuum_dev <= math.sqrt(per_site_tail(cfg))
 
 
 class TestExactEvolution:
@@ -527,14 +531,13 @@ class TestPlannedStep:
         dense = Propagator(kron_hamiltonian(cfg)).evolve(psi, tau)
         assert np.max(np.abs(prop.evolve(psi, tau) - dense)) <= 1e-12
 
-    @pytest.mark.parametrize("particles", [1, 2])
-    def test_product_matches_dense(self, particles):
+    def test_product_matches_dense(self):
         cfg = KRON_CONFIGS["complex-asymmetric"]()
-        ham = pd.build_hamiltonian(cfg, particles)
+        ham = pd.build_hamiltonian(cfg)
         n = ham.shape[0]
         rng = np.random.default_rng(11)
         x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
-        dense = kron_hamiltonian(cfg, particles)
+        dense = kron_hamiltonian(cfg)
         assert np.max(np.abs(ham.product(x) - x @ dense.T)) <= 1e-13
         assert np.max(np.abs(ham.product(x[0]) - dense @ x[0])) <= 1e-13
 
@@ -551,10 +554,9 @@ class TestPlannedStep:
 
         monkeypatch.setattr(oracle.BandedOperator, "_apply", counting)
         report = pd.lang_firsov_check(cfg)
-        assert sizes.count(cfg.dim) >= 2 and sizes.count(cfg.bath_dim) >= 2
-        hop, shift = dense_lang_firsov(cfg)
+        assert sizes.count(cfg.dim) >= 2
+        hop, _ = dense_lang_firsov(cfg)
         assert abs(report.hop_measured - abs(hop)) <= 1e-10
-        assert abs(report.two_particle_shift - shift) <= 1e-10
 
     def test_coefficients_once_per_schedule(self):
         # apply on one table repeats evolve at that time step exactly
