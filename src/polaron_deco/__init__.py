@@ -28,7 +28,6 @@ from .errors import (
     NumericalError,
     PolaronDecoError,
     PositivityError,
-    QuadratureError,
 )
 from .numerics import (
     TimeGrid,

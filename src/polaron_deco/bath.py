@@ -12,13 +12,19 @@ The mode-sum kernels are
     K_s(tau) = same integrand with sin(w tau)
 
 so that K_c(0) equals the total dressing weight and the effective hopping
-ratio is exp(-K_c(0)/2). At tau = 0 the integral has the closed form
-1/2 - F[s]/s in terms of the Gaussian sine transform F (see
-numerics.dawson_sine); that identity is the main cross-check between the
-special-function route (BathModel.kernel_zero) and the quadrature route
-(kernel_cos, a fixed composite Gauss-Legendre rule), and is enforced by the
-test suite and the selftest. build_kernel_table uses a composite Kronrod
-rule whose embedded-Gauss error estimate must stay below TABLE_TOL.
+ratio is exp(-K_c(0)/2). Both kernels have closed forms in the Dawson
+function D (numerics.dawson) and Gaussians,
+
+    K_c(tau) / 2 lambda_g = 1/2 - (tau/2) D(tau/2) - [D((s+tau)/2) + D((s-tau)/2)] / 2s
+    K_s(tau) / 2 lambda_g = (sqrt(pi)/4) tau e^{-tau^2/4}
+                            - (sqrt(pi)/4s) [e^{-(s-tau)^2/4} - e^{-(s+tau)^2/4}]
+
+which build_kernel_table evaluates on a whole grid (K_c(0) = 2 lambda_g
+(1/2 - F[s]/s), with F the Gaussian sine transform numerics.dawson_sine,
+is BathModel.kernel_zero). The pointwise kernel_cos / kernel_sin integrate
+the mode sum itself with a fixed composite Kronrod rule; that quadrature
+route against the special-function route is the main cross-check, enforced
+by the test suite and the selftest.
 """
 
 from __future__ import annotations
@@ -28,16 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, QuadratureError
-from .numerics import (
-    GK15_NODES,
-    OMEGA_TRUNCATION,
-    TimeGrid,
-    composite_gk15_nodes,
-    composite_panels,
-    dawson_sine,
-    integrate_semiinf,
-)
+from .errors import ConfigError
+from .numerics import OMEGA_TRUNCATION, TimeGrid, composite_gk15_nodes, dawson, dawson_sine
 
 __all__ = [
     "BathModel",
@@ -47,7 +45,6 @@ __all__ = [
     "kernel_sin",
     "effective_hopping_ratio",
     "build_kernel_table",
-    "check_table_budget",
     "kernel_table_from_modes",
 ]
 
@@ -120,13 +117,11 @@ class KernelTable:
             object.__setattr__(self, name, self.grid.column(getattr(self, name), name))
 
 
-def _integrand_factory(model: BathModel, trig, tau: float):
-    # trig(x tau) * sinc(x s) oscillates at up to the sum frequency tau + s,
-    # the max_oscillation the callers pass to integrate_semiinf
-    def f(x):
-        return x * np.exp(-x * x) * (1.0 - sinc(x * model.s)) * trig(x * tau)
-
-    return f
+def _pointwise(model: BathModel, trig, tau: float) -> float:
+    # trig(w tau) * sinc(w s) oscillates at up to the sum frequency tau + s
+    w, weights = composite_gk15_nodes(OMEGA_TRUNCATION, tau + model.s)
+    f = w * np.exp(-w * w) * (1.0 - sinc(w * model.s)) * trig(w * tau)
+    return 2.0 * model.lambda_g * float(f @ weights)
 
 
 def kernel_cos(tau: float, model: BathModel) -> float:
@@ -139,9 +134,7 @@ def kernel_cos(tau: float, model: BathModel) -> float:
         raise ConfigError(f"tau must be >= 0, got {tau}")
     if model.lambda_g == 0.0 or model.s == 0.0:
         return 0.0
-    val = integrate_semiinf(_integrand_factory(model, np.cos, tau),
-                            tau + model.s)
-    return 2.0 * model.lambda_g * val
+    return _pointwise(model, np.cos, tau)
 
 
 def kernel_sin(tau: float, model: BathModel) -> float:
@@ -150,9 +143,7 @@ def kernel_sin(tau: float, model: BathModel) -> float:
         raise ConfigError(f"tau must be >= 0, got {tau}")
     if tau == 0.0 or model.lambda_g == 0.0 or model.s == 0.0:
         return 0.0
-    val = integrate_semiinf(_integrand_factory(model, np.sin, tau),
-                            tau + model.s)
-    return 2.0 * model.lambda_g * val
+    return _pointwise(model, np.sin, tau)
 
 
 def effective_hopping_ratio(model: BathModel) -> float:
@@ -164,112 +155,83 @@ def effective_hopping_ratio(model: BathModel) -> float:
     return float(np.exp(-0.5 * model.kernel_zero()))
 
 
-# largest embedded-Gauss error estimate a kernel table entry may carry
-TABLE_TOL = 1e-10
-
-# block starts per GEMM, and the largest block; the working set is
-# (2 * _START_CHUNK + 4 * block) * nodes doubles
-_START_CHUNK = 32
-_MAX_BLOCK = 256
-# largest working set build_kernel_table may take, in bytes
-TABLE_BUDGET = 2**30
-
-
-def check_table_budget(model: BathModel, grid: TimeGrid) -> None:
-    """ConfigError when build_kernel_table's working set for model on grid,
-    (2 * _START_CHUNK + 4 * block) * nodes doubles, would exceed
-    TABLE_BUDGET. The node count is GK15's 15 per panel of the composite
-    rule the table uses; a table that is identically zero costs nothing."""
-    if model.lambda_g == 0.0 or model.s == 0.0:
-        return
-    block = min(math.isqrt(len(grid) - 1) + 1, _MAX_BLOCK)
-    nodes = len(GK15_NODES) * composite_panels(OMEGA_TRUNCATION, grid.t_max + model.s)
-    need = 8 * (2 * _START_CHUNK + 4 * block) * nodes
-    if need > TABLE_BUDGET:
-        raise ConfigError(
-            f"the kernel table at s={model.s:.6g} on {len(grid)} grid points needs "
-            f"{need / 2**30:.3g} GiB, over TABLE_BUDGET = {TABLE_BUDGET / 2**30:g} GiB")
+_ROOT_PI_4 = math.sqrt(math.pi) / 4.0
+# below this s the closed forms' 1/s brackets lose digits to cancellation
+# (3.7e-14 of K_c at s = 0.01, and all of them as s -> 0), so where
+# tau * s < 2 build_kernel_table sums them as series in s instead
+_SMALL_S = 0.25
+# the series stop at order 15 in s: with |D^(k)| <= 2^(k-1) Gamma((k+1)/2)
+# and |H_k(x)| e^{-x^2/2} <= 1.09 sqrt(2^k k!), the first order left out
+# (17) is below 1e-19 of 2 lambda_g at s = 0.25
+_SERIES_ORDER = 15
 
 
-def _kernel_sums(model: BathModel, grid: TimeGrid):
-    """K_c, K_s and their embedded-Gauss error estimates on grid, scaled.
+def _gauss(u):
+    """e^{-u^2}, with |u| clipped at 40 where it underflows to 0 anyway, so
+    that no square overflows."""
+    return np.exp(-np.square(np.minimum(np.abs(u), 40.0)))
 
-    Grid index j is written as a*B + b with B = ceil(sqrt(n)), capped at
-    _MAX_BLOCK so that long grids add block starts, not memory; cos and sin
-    are evaluated on the block-start phases theta[a*B] * x and the offset
-    phases theta[b] * x only, and recombined by angle addition,
-    cos(A + O) = cos A cos O - sin A sin O, sin(A + O) = sin A cos O +
-    cos A sin O. With the weights g*w_K and g*w_err folded into the four
-    (B x nodes) offset factors, one GEMM per chunk of block starts yields
-    all four sums. Returns (k_cos, k_sin, err_cos, err_sin).
+
+def _closed_forms(x, s: float):
+    """(K_c, K_s) / 2 lambda_g at tau = 2x, from the Dawson closed forms."""
+    a = 0.5 * s
+    k_cos = 0.5 - x * dawson(x) - 0.5 * (dawson(x + a) + dawson(a - x)) / s
+    k_sin = _ROOT_PI_4 * (2.0 * x * _gauss(x) - (_gauss(a - x) - _gauss(a + x)) / s)
+    return k_cos, k_sin
+
+
+def _small_s_series(x, s: float):
+    """(K_c, K_s) / 2 lambda_g at tau = 2x, as series in a = s/2.
+
+    With y = x s, the brackets are Taylor series about x:
+    K_c / 2 lambda_g = -(1/2) sum_{odd k >= 3} E_k, E_k = D^(k)(x) a^(k-1) / k!,
+    K_s / 2 lambda_g = -(sqrt(pi)/4) sum_{odd k >= 3} G_k,
+    G_k = e^{-x^2} H_k(x) a^(k-1) / k! (H_k the Hermite polynomials).
+    D' = 1 - 2xD and the recurrences D^(k+1) = -2x D^(k) - 2k D^(k-1),
+    H_(k+1) = 2x H_k - 2k H_(k-1) become
+    E_(k+1) = -(y E_k + 2a^2 E_(k-1)) / (k+1) and
+    G_(k+1) = (y G_k - 2a^2 G_(k-1)) / (k+1), which neither overflow nor
+    amplify rounding while y < 1.
     """
-    n = len(grid)
-    nodes, weights, err_weights = composite_gk15_nodes(
-        OMEGA_TRUNCATION, grid.t_max + model.s)
-    g = nodes * np.exp(-nodes * nodes) * (1.0 - sinc(nodes * model.s))
-    scale = 2.0 * model.lambda_g
-
-    theta = grid.points
-    block = min(math.isqrt(n - 1) + 1, _MAX_BLOCK)
-    offsets = np.outer(theta[:block], nodes)
-    right = np.empty((4, block, len(nodes)))
-    np.cos(offsets, out=right[0])
-    np.sin(offsets, out=right[1])
-    del offsets
-    np.multiply(right[:2], g * err_weights, out=right[2:])
-    right[:2] *= g * weights
-    right = right.reshape(4 * block, len(nodes))
-
-    starts = theta[::block]
-    sums = np.empty((4, len(starts), block))
-    for i in range(0, len(starts), _START_CHUNK):
-        phase = np.outer(starts[i:i + _START_CHUNK], nodes)
-        c = len(phase)
-        left = np.empty((2 * c, len(nodes)))
-        np.cos(phase, out=left[:c])
-        np.sin(phase, out=left[c:])
-        del phase
-        # rows: cos A, sin A; columns: (cos O, sin O) x (g*w_K, g*w_err)
-        m = (left @ right.T).reshape(2, c, 4, block)
-        cos_a, sin_a = m[0], m[1]
-        for k in (0, 2):
-            sums[k, i:i + c] = cos_a[:, k] - sin_a[:, k + 1]
-            sums[k + 1, i:i + c] = sin_a[:, k] + cos_a[:, k + 1]
-    k_cos, k_sin, err_c, err_s = (scale * row.ravel()[:n] for row in sums)
-    return k_cos, k_sin, np.abs(err_c), np.abs(err_s)
+    a = 0.5 * s
+    d, g = dawson(x), _gauss(x)
+    y, a2 = x * s, 2.0 * a * a
+    e0 = 1.0 - 2.0 * x * d
+    e1 = -a * d - 0.5 * y * e0
+    g0 = 2.0 * x * g
+    g1 = (x * y - a) * g
+    k_cos, k_sin = np.zeros_like(x), np.zeros_like(x)
+    for k in range(2, _SERIES_ORDER):
+        e0, e1 = e1, -(y * e1 + a2 * e0) / (k + 1)
+        g0, g1 = g1, (y * g1 - a2 * g0) / (k + 1)
+        if k % 2 == 0:
+            k_cos -= e1
+            k_sin -= g1
+    return 0.5 * k_cos, _ROOT_PI_4 * k_sin
 
 
 def build_kernel_table(model: BathModel, grid: TimeGrid) -> KernelTable:
-    """Tabulate K_c and K_s on grid with one composite Kronrod rule.
-
-    The integrand's product cos(w tau) * sinc(w s) carries spectral content
-    up to the sum frequency tau + s, so the panels are sized to resolve
-    t_max + s. The n x nodes phase block is never formed: cos
-    and sin run on about 2 sqrt(n) x nodes block-start and offset phases,
-    and angle addition folds them into one GEMM per chunk of block starts
-    (see _kernel_sums). The cost is ~16 n x nodes GEMM flops, the memory
-    O((chunk + min(sqrt(n), 256)) x nodes), and a table over TABLE_BUDGET
-    raises ConfigError before it is built (check_table_budget). Per-tau
-    embedded-Gauss error estimates guard every entry of both kernels: an
-    estimate above TABLE_TOL raises QuadratureError naming the kernel and
-    the tau.
-    Pointwise kernel_cos / kernel_sin agree with the table to well below
-    1e-10, which the tests assert on a sample of grid points.
+    """Tabulate K_c and K_s on grid from their closed forms (module
+    docstring): three Dawson evaluations and three Gaussians per point, so
+    the cost and memory are O(n) whatever t_max and s. Where s < _SMALL_S
+    and tau * s < 2 the 1/s brackets are summed as series in s instead
+    (_small_s_series), so the table stays accurate down to s -> 0, and no
+    argument overflows up to the largest float s.
+    The pointwise quadrature kernel_cos / kernel_sin agree with the table
+    to round-off, which the tests assert on samples of grid points.
     """
+    n = len(grid)
     if model.lambda_g == 0.0 or model.s == 0.0:
-        zeros = np.zeros(len(grid))
-        return KernelTable(grid=grid, k_cos=zeros, k_sin=zeros.copy())
-    check_table_budget(model, grid)
-    k_cos, k_sin, err_c, err_s = _kernel_sums(model, grid)
-    for name, err in (("K_c", err_c), ("K_s", err_s)):
-        worst = int(np.argmax(err))
-        if err[worst] > TABLE_TOL:
-            raise QuadratureError(
-                f"kernel table {name} did not converge at "
-                f"tau={grid.points[worst]:.6g}: "
-                f"error estimate {err[worst]:.3e} > {TABLE_TOL:.3e}"
-            )
-    return KernelTable(grid=grid, k_cos=k_cos, k_sin=k_sin)
+        return KernelTable(grid=grid, k_cos=np.zeros(n), k_sin=np.zeros(n))
+    x = 0.5 * grid.points
+    # the series take the first points, up to tau * s = 2
+    m = int(np.count_nonzero(x * model.s < 1.0)) if model.s < _SMALL_S else 0
+    k = np.empty((2, n))
+    if m:
+        k[:, :m] = _small_s_series(x[:m], model.s)
+    k[:, m:] = _closed_forms(x[m:], model.s)
+    k *= 2.0 * model.lambda_g
+    return KernelTable(grid=grid, k_cos=k[0], k_sin=k[1])
 
 
 def kernel_table_from_modes(freqs, weights, grid: TimeGrid) -> KernelTable:

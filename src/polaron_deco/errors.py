@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 Each class carries the process exit code the CLI returns for it, and a
-subclass inherits its parent's: ConfigError 2, NumericalError (and
-QuadratureError) 3, InvariantError (and PositivityError) 4.
+subclass inherits its parent's: ConfigError 2, NumericalError 3,
+InvariantError (and PositivityError) 4.
 """
 
 
@@ -20,10 +20,6 @@ class ConfigError(PolaronDecoError):
 
 class NumericalError(PolaronDecoError):
     """A numerical routine failed to reach its accuracy target."""
-
-
-class QuadratureError(NumericalError):
-    """A kernel table's quadrature error estimate exceeds bath.TABLE_TOL."""
 
 
 class InvariantError(PolaronDecoError):

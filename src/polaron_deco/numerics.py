@@ -1,5 +1,5 @@
-"""Numerical primitives: the Dawson function, fixed composite quadrature
-rules on [0, omega_max] and cumulative trapezoid integration.
+"""Numerical primitives: the Dawson function, a fixed composite Kronrod
+rule on [0, omega_max] and cumulative trapezoid integration.
 
 Everything here is a pure function of its inputs. All quantities are
 dimensionless (energies in units of the bath cutoff, times in inverse-cutoff
@@ -84,24 +84,51 @@ class TimeGrid:
 # Dawson function and its sine-transform form
 # ---------------------------------------------------------------------------
 #
-# dawson(x) = e^{-x^2} int_0^x e^{u^2} du, elementwise, in two forms (within
+# dawson(x) = e^{-x^2} int_0^x e^{u^2} du, elementwise, in three forms (within
 # 6e-15 relative of scipy's dawsn on [-200, 200] and out to 1e300 in the
 # test suite):
 #   |x| <= 0.5   Maclaurin series  sum_n (-2)^n x^{2n+1} / (2n+1)!!, to n = 14
 #   |x| > 0.5    Rybicki's sampling-theorem comb
 #                (1/sqrt(pi)) sum_{n odd} e^{-(x - nh)^2} / n, h = 0.25, over
-#                the 30 odd n on each side of the even node n0 nearest x/h;
-#                its error is O(exp(-(pi/2h)^2)), and the first term left out
-#                is below e^{-(60h)^2} = e^{-225} (G. B. Rybicki, Computers
-#                in Physics 3, 85 (1989))
-# Both are running sums in order of increasing n (cumsum, not numpy's
-# pairwise sum), so each value rounds as an ascending scalar loop over n
-# would.
+#                the 14 odd n on each side of the even node n0 nearest x/h;
+#                its error is O(exp(-(pi/2h)^2)), and since |x - n0 h| <= h
+#                the first term left out is below e^{-(28h)^2} = e^{-49}
+#                (G. B. Rybicki, Computers in Physics 3, 85 (1989))
+#   |x| > 1e9    1/(2x): the next term of (1 + 1/(2x^2) + ...)/(2x) is below
+#                5e-19 relative, and the comb's node index would overflow
+#                near the largest float
+# The series and the comb are running sums in order of increasing n (cumsum,
+# not numpy's pairwise sum), so each value rounds as an ascending scalar
+# loop over n would. Points go through in blocks of _BLOCK, so the
+# (points x terms) arrays stay small however long x is.
 
 _SERIES_EDGE = 0.5
 _SERIES_DIVISORS = np.arange(3.0, 31.0, 2.0)  # 2n + 1 for n = 1 ... 14
 _COMB_H = 0.25
-_COMB_OFFSETS = np.arange(-59.0, 60.0, 2.0)  # odd n - n0 for the even node n0
+_COMB_OFFSETS = np.arange(-27.0, 28.0, 2.0)  # odd n - n0 for the even node n0
+_ASYMPTOTIC_EDGE = 1e9
+_BLOCK = 4096
+
+
+def _dawson_block(ax: np.ndarray) -> np.ndarray:
+    """dawson of a 1-D array of finite |x|."""
+    val = np.empty_like(ax)
+    series = ax <= _SERIES_EDGE
+    v = ax[series, None]
+    # term_n = term_{n-1} * (-2 x^2) / (2n + 1), term_0 = x
+    steps = np.concatenate([v, -2.0 * v * v / _SERIES_DIVISORS], axis=1)
+    val[series] = np.cumprod(steps, axis=1).cumsum(axis=1)[:, -1]
+    far = ax > _ASYMPTOTIC_EDGE
+    val[far] = 0.5 / ax[far]
+    comb = ~(series | far)
+    v = ax[comb, None]
+    n0 = 2.0 * np.round(v / (2.0 * _COMB_H))
+    # x - n h as (x - n0 h) - (n - n0) h: x - n0 h is exact, so each
+    # distance is rounded once, even where n = n0 + m is not exact
+    offset = v - n0 * _COMB_H - _COMB_OFFSETS * _COMB_H
+    terms = np.exp(-(offset ** 2)) / (n0 + _COMB_OFFSETS)
+    val[comb] = terms.cumsum(axis=1)[:, -1] / math.sqrt(math.pi)
+    return val
 
 
 def dawson(x):
@@ -111,21 +138,11 @@ def dawson(x):
     float.
     """
     x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    series = ax <= _SERIES_EDGE
-    val = np.empty_like(ax)
-    v = ax[series, None]
-    # term_n = term_{n-1} * (-2 x^2) / (2n + 1), term_0 = x
-    steps = np.concatenate([v, -2.0 * v * v / _SERIES_DIVISORS], axis=1)
-    val[series] = np.cumprod(steps, axis=1).cumsum(axis=1)[:, -1]
-    v = ax[~series, None]
-    n0 = 2.0 * np.round(v / (2.0 * _COMB_H))
-    # x - n h as (x - n0 h) - (n - n0) h: x - n0 h is exact, so each
-    # distance is rounded once, even where n = n0 + m is not exact
-    offset = v - n0 * _COMB_H - _COMB_OFFSETS * _COMB_H
-    comb = np.exp(-(offset ** 2)) / (n0 + _COMB_OFFSETS)
-    val[~series] = comb.cumsum(axis=1)[:, -1] / math.sqrt(math.pi)
-    out = np.copysign(val, x)
+    out = np.empty(x.shape)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    for i in range(0, x.size, _BLOCK):
+        flat_out[i:i + _BLOCK] = _dawson_block(np.abs(flat_x[i:i + _BLOCK]))
+    np.copysign(out, x, out=out)
     return out if out.ndim else float(out)
 
 
@@ -139,7 +156,7 @@ def dawson_sine(z):
 
 
 # ---------------------------------------------------------------------------
-# Composite rules on [0, omega_max]
+# Composite Kronrod rule on [0, omega_max]
 # ---------------------------------------------------------------------------
 
 GK15_NODES = np.array([
@@ -162,63 +179,34 @@ GK15_WEIGHTS = np.array([
     0.204432940075298, 0.204432940075298,
     0.209482141084728,
 ])
-# Embedded 7-point Gauss weights sit on the odd-indexed Kronrod nodes.
-G7_WEIGHTS = np.array([
-    0.0, 0.0,
-    0.129484966168870, 0.129484966168870,
-    0.0, 0.0,
-    0.279705391489277, 0.279705391489277,
-    0.0, 0.0,
-    0.381830050505119, 0.381830050505119,
-    0.0, 0.0,
-    0.417959183673469,
-])
-_GK15_ERRW = GK15_WEIGHTS - G7_WEIGHTS
 
 
-def composite_panels(omega_max: float, max_oscillation: float):
-    """Equal panels of [0, omega_max] for a composite rule: at least 16, each
-    at most half an oscillation period of the given rate wide (and at most
-    0.5), so that a fixed-order rule stays in its rapidly convergent regime.
-    An int, or inf where the count overflows a float."""
-    h = min(0.5, math.pi / max(max_oscillation, 1.0))
-    panels = omega_max / h if h > 0.0 else math.inf
-    return max(16, math.ceil(panels)) if panels < math.inf else math.inf
+def composite_gk15_nodes(omega_max: float, max_oscillation: float):
+    """The 15-point Kronrod rule on equal panels of [0, omega_max]: at least
+    16, each at most half an oscillation period of the given rate wide (and
+    at most 0.5), so that the rule stays in its rapidly convergent regime.
 
-
-def _composite(omega_max: float, max_oscillation: float, nodes, *weights):
-    """A rule on [-1, 1] repeated on composite_panels equal panels of
-    [0, omega_max]. Returns the nodes, then each weight set, scaled.
+    Returns (nodes, weights).
     """
-    n_panels = composite_panels(omega_max, max_oscillation)
+    h = min(0.5, math.pi / max(max_oscillation, 1.0))
+    n_panels = max(16, math.ceil(omega_max / h))
     edges = np.linspace(0.0, omega_max, n_panels + 1)
     half = 0.5 * np.diff(edges)
     centers = 0.5 * (edges[1:] + edges[:-1])
-    x = (centers[:, None] + half[:, None] * nodes[None, :]).ravel()
-    return (x, *((half[:, None] * w[None, :]).ravel() for w in weights))
+    nodes = (centers[:, None] + half[:, None] * GK15_NODES).ravel()
+    return nodes, (half[:, None] * GK15_WEIGHTS).ravel()
 
 
 def integrate_semiinf(f, max_oscillation: float) -> float:
     """Integrate f over [0, inf) for integrands with Gaussian decay.
 
     f must accept an ndarray of abscissae and return the integrand values.
-    The range is truncated at OMEGA_TRUNCATION and integrated by a fixed
-    composite 8-point Gauss-Legendre rule whose panels resolve oscillations
-    up to max_oscillation (the integrand's highest angular frequency).
+    The range is truncated at OMEGA_TRUNCATION and integrated by
+    composite_gk15_nodes' rule, whose panels resolve oscillations up to
+    max_oscillation (the integrand's highest angular frequency).
     """
-    nodes, weights = _composite(OMEGA_TRUNCATION, max_oscillation,
-                                *np.polynomial.legendre.leggauss(8))
+    nodes, weights = composite_gk15_nodes(OMEGA_TRUNCATION, max_oscillation)
     return float(np.asarray(f(nodes), dtype=float) @ weights)
-
-
-def composite_gk15_nodes(omega_max: float, max_oscillation: float):
-    """Fixed composite Kronrod rule resolving cos/sin factors up to the
-    given oscillation rate.
-
-    Returns (nodes, kronrod_weights, gauss_error_weights).
-    """
-    return _composite(omega_max, max_oscillation,
-                      GK15_NODES, GK15_WEIGHTS, _GK15_ERRW)
 
 
 # ---------------------------------------------------------------------------

@@ -351,7 +351,7 @@ def _bessel_coefficients(x: np.ndarray, n_terms: int) -> np.ndarray:
     n = 1 << (2 * n_terms - 1).bit_length()
     if len(x) * n > BESSEL_CAP:
         raise NumericalError(
-            f"a Chebyshev series to radius * tau = {float(np.max(x)):.6g} needs "
+            f"a Chebyshev series to radius * |tau| = {float(np.max(np.abs(x))):.6g} needs "
             f"{n_terms} terms or more, a Bessel table of {len(x)} x {n} entries "
             f"over BESSEL_CAP = {BESSEL_CAP}")
     theta = 2.0 * math.pi * np.arange(n) / n
@@ -436,15 +436,16 @@ class ChebyshevPropagator:
     def coefficients(self, tau) -> np.ndarray:
         """The series coefficients exp(-i center tau) (2 - delta_k0) (-i)^k
         J_k(radius tau), one row per tau (raveled), as many terms as the
-        largest radius * tau needs; NumericalError when radius * tau
+        largest radius * |tau| needs; NumericalError when radius * tau
         overflows or the Bessel table exceeds BESSEL_CAP."""
         tau = np.asarray(tau, dtype=float)
-        # the largest radius * tau, as a float product that overflows to inf
-        # without the warning the array product would print
-        x_max = self.radius * float(np.max(tau))
+        # the largest radius * |tau|, as a float product that overflows to
+        # inf without the warning the array product would print
+        tau_max = float(np.max(np.abs(tau)))
+        x_max = self.radius * tau_max
         if math.isinf(x_max):
             raise NumericalError(f"radius * tau overflows at radius = {self.radius:.6g}, "
-                                 f"tau = {float(np.max(tau)):.6g}")
+                                 f"|tau| = {tau_max:.6g}")
         x = self.radius * tau.ravel()
         coef = _bessel_coefficients(x, _series_length(x_max))
         return coef * np.exp(-1j * self.center * tau.ravel())[:, None]
@@ -461,7 +462,7 @@ class ChebyshevPropagator:
 
     def evolve(self, psi: np.ndarray, tau) -> np.ndarray:
         """exp(-i H tau) psi for every tau, shape np.shape(tau) + psi.shape:
-        one Chebyshev series with as many terms as the largest radius * tau
+        one Chebyshev series with as many terms as the largest radius * |tau|
         needs. psi may be a stack of states along its leading axes."""
         return self.apply(self.coefficients(tau), psi).reshape(
             np.shape(tau) + np.shape(psi))

@@ -3,7 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from kernel_reference import direct_kernel_sums
 from scipy.integrate import quad
 from scipy.special import dawsn
 
@@ -271,83 +270,77 @@ class TestKernelTable:
         assert table.k_sin[0] == 0.0
         assert table.k_cos[0] == pytest.approx(0.5, rel=1e-14)
 
-    def test_tight_spec_failure_names_tau(self, monkeypatch):
-        # an unsatisfiable tolerance must fail loudly and name the worst tau
-        grid = TimeGrid(t_max=50.0, dt=10.0)
-        monkeypatch.setattr(bath, "TABLE_TOL", 1e-300)
-        with pytest.raises(pd.QuadratureError, match="tau"):
-            pd.build_kernel_table(BathModel(lambda_g=1.0, s=1.0), grid)
+    @pytest.mark.parametrize("s", [1e-3, 0.01, 0.1, 1.0, 10.0, 100.0, 1e3])
+    def test_matches_pointwise_route(self, s):
+        # the closed forms (and below s = 0.25 their series) against the
+        # composite Kronrod quadrature of the mode sum, tau by tau, on both
+        # sides of the series' switch at tau * s = 2
+        grid = TimeGrid(t_max=50.0, dt=0.05)
+        model = BathModel(lambda_g=1.0, s=s)
+        table = pd.build_kernel_table(model, grid)
+        for k in list(range(0, 1001, 37)) + [1000]:
+            tau = grid.points[k]
+            assert abs(table.k_cos[k] - pd.kernel_cos(tau, model)) <= 1e-14, tau
+            assert abs(table.k_sin[k] - pd.kernel_sin(tau, model)) <= 1e-14, tau
 
-    def test_sine_estimate_alone_fails(self, monkeypatch):
-        # the sine kernel's error estimate is checked on its own: with the
-        # cosine estimate zeroed, a tolerance below the sine one must fail
-        # and name K_s at the sine estimate's worst tau
-        grid = TimeGrid(t_max=50.0, dt=10.0)
-        model = BathModel(lambda_g=1.0, s=1.0)
-        k_cos, k_sin, err_c, err_s = bath._kernel_sums(model, grid)
-        monkeypatch.setattr(bath, "_kernel_sums", lambda m, g: (
-            k_cos, k_sin, np.zeros_like(err_c), err_s))
-        worst = int(np.argmax(err_s))
-        monkeypatch.setattr(bath, "TABLE_TOL", 0.5 * err_s[worst])
-        tau = f"tau={grid.points[worst]:.6g}:"
-        with pytest.raises(pd.QuadratureError, match=f"K_s .*{tau}"):
-            pd.build_kernel_table(model, grid)
-        # the same tolerance passes when the sine estimate is within it
-        monkeypatch.setattr(bath, "_kernel_sums", lambda m, g: (
-            k_cos, k_sin, np.zeros_like(err_c), 0.25 * err_s))
-        pd.build_kernel_table(model, grid)
+    def test_continuous_at_small_s_edge(self):
+        # just below _SMALL_S the series run where tau * s < 2, at _SMALL_S
+        # the closed forms run everywhere; the two tables agree, and so do
+        # both forms at one s just below the switch
+        grid = TimeGrid(t_max=50.0, dt=0.05)
+        edge = bath._SMALL_S
+        below = pd.build_kernel_table(BathModel(s=np.nextafter(edge, 0.0)), grid)
+        above = pd.build_kernel_table(BathModel(s=edge), grid)
+        assert np.max(np.abs(below.k_cos - above.k_cos)) <= 1e-14
+        assert np.max(np.abs(below.k_sin - above.k_sin)) <= 1e-14
+        x = 0.5 * grid.points[grid.points * 0.2 < 2.0]
+        for direct, series in zip(bath._closed_forms(x, 0.2), bath._small_s_series(x, 0.2)):
+            assert np.max(np.abs(direct - series)) <= 2e-15
+
+    def test_series_holds_where_direct_form_cancels(self):
+        # at s = 1e-6 the 1/s brackets of the closed forms lose ten digits;
+        # the series keeps the s^2 scale: K_c(0) = 2 lambda_g (s/2)^2 / 3 to
+        # leading order, and the table is s^2 times its s -> 0 shape
+        grid = TimeGrid(t_max=10.0, dt=0.5)
+        a = pd.build_kernel_table(BathModel(s=1e-6), grid)
+        b = pd.build_kernel_table(BathModel(s=2e-6), grid)
+        assert a.k_cos[0] == pytest.approx(2.0 * (0.5e-6) ** 2 / 3.0, rel=1e-10)
+        assert np.allclose(b.k_cos, 4.0 * a.k_cos, rtol=1e-10, atol=0.0)
+        assert np.allclose(b.k_sin, 4.0 * a.k_sin, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("s", [1e-300, 1e300, np.finfo(float).max])
+    def test_extreme_s_finite_without_warning(self, s):
+        # no argument of the closed forms or the series overflows or
+        # divides by zero, even at grid ends near the largest float
+        for grid in (TimeGrid(t_max=1e308, dt=1e308), TimeGrid(t_max=50.0, dt=0.5)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = pd.build_kernel_table(BathModel(lambda_g=1.0, s=s), grid)
+            assert np.all(np.isfinite(table.k_cos)) and np.all(np.isfinite(table.k_sin))
+            assert abs(table.k_cos[0] - bath.kernel_zero(1.0, s)) <= 1e-15
+        if s >= 1e300:
+            # the 1/s brackets vanish: K_c(tau) = 2 (1/2 - (tau/2) D(tau/2))
+            x = 0.5 * grid.points
+            assert np.max(np.abs(table.k_cos - (1.0 - 2.0 * x * pd.dawson(x)))) <= 1e-15
 
     def test_memory_is_bounded(self):
-        # the direct (n x nodes) phase block peaks at ~378 MB here; the
-        # angle-addition route keeps O((chunk + sqrt(n)) x nodes)
-        grid = TimeGrid(t_max=400.0, dt=0.05)
+        # 1e6 + 1 points: the table holds its two 8 MB columns and a few
+        # more per-point arrays (9 floats a point in all), never the
+        # (points x terms) Dawson comb (224 MB here) or a (points x nodes)
+        # phase block
+        grid = TimeGrid(t_max=1e4, dt=0.01)
+        assert len(grid) > 10**6
         tracemalloc.start()
         try:
             pd.build_kernel_table(BathModel(lambda_g=1.0, s=1.0), grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 96e6
+        assert peak <= 12 * 8 * len(grid)
 
 
-# grids of n = 49 (a perfect square), 50 (= 7^2 + 1), 3 and 2 points; the
-# block size is ceil(sqrt(n)), so n = 2 and 3 are single short blocks
+# grids of n = 49, 50, 3 and 2 points
 SMALL_GRIDS = [(4.8, 0.1), (4.9, 0.1), (0.2, 0.1), (1.0, 1.0)]
-
-
-class TestTableBudget:
-    @pytest.mark.parametrize("t_max, s", [(5.0, 0.0), (50.0, 1.0), (50.0, 100.0),
-                                          (1e-3, 1e-3), (200.0, 300.0)])
-    def test_node_count_is_the_table_rule(self, t_max, s):
-        nodes = numerics.composite_gk15_nodes(numerics.OMEGA_TRUNCATION, t_max + s)[0]
-        assert len(nodes) == 15 * numerics.composite_panels(numerics.OMEGA_TRUNCATION,
-                                                            t_max + s)
-
-    def test_default_tables_fit(self, default_grid):
-        for s in (1.0, 10.0, 100.0, 1e3):
-            bath.check_table_budget(BathModel(lambda_g=1.0, s=s), default_grid)
-        # an identically zero table costs nothing, whatever s
-        bath.check_table_budget(BathModel(lambda_g=0.0, s=1e300), default_grid)
-
-    @pytest.mark.parametrize("s", [1e12, 1e300])
-    def test_over_budget_refused_before_allocating(self, default_grid, s):
-        # at s = 1e12 the working set would be 1.4e17 bytes, and the panel
-        # edges alone 2e13
-        model = BathModel(lambda_g=1.0, s=s)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConfigError, match="over TABLE_BUDGET"):
-                pd.build_kernel_table(model, default_grid)
-            assert tracemalloc.get_traced_memory()[1] < 1e5
-        finally:
-            tracemalloc.stop()
-
-    def test_overflowing_node_count_refused(self):
-        # t_max + s overflows a float, and so does the panel count
-        grid = TimeGrid(t_max=1e308, dt=1e308)
-        assert numerics.composite_panels(numerics.OMEGA_TRUNCATION, 2e308) == np.inf
-        with pytest.raises(ConfigError, match="inf GiB"):
-            bath.check_table_budget(BathModel(lambda_g=1.0, s=1e308), grid)
 
 
 def scaled_case(s, t_max, dt, cutoff):
@@ -358,19 +351,38 @@ def scaled_case(s, t_max, dt, cutoff):
     return BathModel(lambda_g=1.0, s=s * cutoff), grid
 
 
+def gk15_table(model, grid):
+    """(K_c, K_s) on grid by the composite Kronrod rule sized to t_max + s,
+    summed directly over the (points x nodes) cos and sin phase block, 1024
+    points at a time."""
+    nodes, weights = numerics.composite_gk15_nodes(numerics.OMEGA_TRUNCATION,
+                                                   grid.t_max + model.s)
+    gw = (2.0 * model.lambda_g * nodes * np.exp(-nodes * nodes)
+          * (1.0 - sinc(nodes * model.s)) * weights)
+    out = np.empty((2, len(grid)))
+    for i in range(0, len(grid), 1024):
+        phase = np.outer(grid.points[i:i + 1024], nodes)
+        out[0, i:i + 1024] = np.cos(phase) @ gw
+        out[1, i:i + 1024] = np.sin(phase) @ gw
+    return out
+
+
 class TestKernelTableAngleAddition:
-    """bath._kernel_sums against the direct cos/sin phase block."""
+    """The closed-form table against the quadrature table it replaced: the
+    composite Kronrod sums over the whole (points x nodes) phase block (the
+    reference its angle-addition evaluation was held to), on small grids,
+    in blocks of a few Dawson points, and on the default grid."""
 
     @staticmethod
     def assert_matches_direct(model, grid):
-        new = bath._kernel_sums(model, grid)
-        ref = direct_kernel_sums(model, grid)
-        # the two routes sum the nodes in different orders; 1e-14 relative
-        # to the kernel's own scale K_c(0)
+        table = pd.build_kernel_table(model, grid)
+        ref = gk15_table(model, grid)
+        # 1e-14 relative to the kernel's own scale K_c(0)
         tol = 1e-14 * max(1.0, ref[0][0])
-        for name, a, b in zip(("k_cos", "k_sin", "err_cos", "err_sin"), new, ref):
+        for name, a, b in zip(("k_cos", "k_sin"), (table.k_cos, table.k_sin), ref):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= tol, name
+        return table
 
     @pytest.mark.parametrize("t_max, dt", SMALL_GRIDS)
     @pytest.mark.parametrize("cutoff", [0.3, 3.1])
@@ -380,16 +392,18 @@ class TestKernelTableAngleAddition:
 
     @pytest.mark.parametrize("t_max, dt", SMALL_GRIDS)
     def test_capped_block_and_chunks(self, monkeypatch, t_max, dt):
-        # blocks of at most 3 points, taken 2 starts per GEMM: many chunks
-        # and block starts beyond sqrt(n), as on grids longer than 256^2
-        monkeypatch.setattr(bath, "_MAX_BLOCK", 3)
-        monkeypatch.setattr(bath, "_START_CHUNK", 2)
-        self.assert_matches_direct(*scaled_case(10.0, t_max, dt, 3.1))
+        # Dawson blocks of at most 3 points give the bits of one block
+        model, grid = scaled_case(10.0, t_max, dt, 3.1)
+        whole = pd.build_kernel_table(model, grid)
+        monkeypatch.setattr(numerics, "_BLOCK", 3)
+        blocked = self.assert_matches_direct(model, grid)
+        assert np.array_equal(blocked.k_cos, whole.k_cos)
+        assert np.array_equal(blocked.k_sin, whole.k_sin)
 
     @pytest.mark.parametrize("s, cutoff", [
         (0.01, 0.3), (1.0, 0.3), (10.0, 0.3), (100.0, 0.3), (1.0, 1.0)])
     def test_default_grid(self, default_grid, s, cutoff):
-        # 10001 points: blocks of 101, several chunks of block starts and a
-        # two-point last block
+        # 10001 points: three Dawson blocks; at s = 0.003 the series run
+        # up to tau = 667, past the grid end
         self.assert_matches_direct(
             *scaled_case(s, default_grid.t_max, default_grid.dt, cutoff))

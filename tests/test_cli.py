@@ -93,7 +93,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("mode, lists", [
         ("sweep-s", {"s_values": [1.0, 2.0]}),
         ("effective-hopping", {"s_values": [1.0], "lambda_values": [0.5, 2.0]}),
-        ("bangbang", {"cycles": [4, 8]}),
+        ("bangbang", {"cycles": [4, 8, 16]}),
     ])
     def test_list_fields_become_tuples(self, tmp_path, mode, lists):
         # a library caller may pass Python lists; they are stored as tuples,
@@ -203,7 +203,7 @@ class TestRunExperiment:
          {"fig1a": {"ratio_s=1": "ratio_s=1"},
           "fig1b": {"ratio_lambda=0.5": "ratio_lambda=0.5",
                     "ratio_lambda=2": "ratio_lambda=2"}}),
-        ("bangbang", {"n_max": "2", "cycles": "4,8"},
+        ("bangbang", {"n_max": "2", "cycles": "4,8,16"},
          {"bangbang": {"pulsed": "trace_distance_pulsed",
                        "free": "trace_distance_free"}}),
         ("oracle-compare", {"n_max": "2", "t_max": "2"},
@@ -273,7 +273,7 @@ class TestRunExperiment:
     # a valid value other than every default, for each key a verb may read
     OTHER = {"lambda_g": 0.7, "s": 3.0, "j_hop": 0.3, "t_max": 1.0, "dt": 0.02,
              "rho_ss": 0.5, "re_rho_st": 0.1, "im_rho_st": 0.2, "s_values": (2.0, 20.0),
-             "lambda_values": (0.25,), "n_modes": 3, "n_max": 3, "cycles": (2, 6),
+             "lambda_values": (0.25,), "n_modes": 3, "n_max": 3, "cycles": (2, 6, 12),
              "total_time": 2.0}
 
     def test_other_values_are_drawn(self):
@@ -599,7 +599,7 @@ class TestMain:
 
 @pytest.mark.parametrize("cls, code", [
     (cli.PolaronDecoError, 3), (cli.ConfigError, 2), (cli.NumericalError, 3),
-    (pd_errors.QuadratureError, 3), (cli.InvariantError, 4), (pd_errors.PositivityError, 4),
+    (cli.InvariantError, 4), (pd_errors.PositivityError, 4),
 ])
 def test_exit_code_on_error_type(tmp_path, monkeypatch, capsys, cls, code):
     # the exit code lives on the class and a subclass inherits it
@@ -612,13 +612,20 @@ def test_exit_code_on_error_type(tmp_path, monkeypatch, capsys, cls, code):
     assert json.loads(capsys.readouterr().err) == {"error": cls.__name__, "message": "failed"}
 
 
-# inputs at the edge of the run contract, each refused by a stated limit
-# before it can hang or allocate: (argv, config file text, exit code)
+# inputs at the edge of the run contract: (argv, config file text, exit
+# code). A nonzero code is a refusal by a stated limit before the run can
+# hang or allocate; exit 0 is a finite run
 EXTREME_INPUTS = {
-    "huge-s": (["single", "--s=1e300", "--tmax", "1", "--dt", "0.5"], None, 2),
-    # a kernel table of 1.4e17 bytes, whose panel edges alone take 2e13
-    "table-budget": (["single", "--s", "1e12"], None, 2),
-    "table-budget-sweep": (["sweep-s", "--s=1,1e12"], None, 2),
+    # the closed-form kernel table is O(n) at any s: s near the float limit,
+    # and s = 1e12, where the former quadrature table would have needed
+    # 1.4e17 bytes, run to finite CSVs
+    "huge-s": (["single", "--s=1e300", "--tmax", "1", "--dt", "0.5"], None, 0),
+    "table-budget": (["single", "--s", "1e12"], None, 0),
+    "table-budget-sweep": (["sweep-s", "--s=1,1e12"], None, 0),
+    # the largest float s: the Dawson comb's node index once overflowed here
+    "largest-s": (["single", "--s=1.7976931348623157e308", "--tmax", "1", "--dt", "0.5"],
+                  None, 0),
+    "largest-s-hopping": (["effective-hopping", "--s=1.7976931348623157e308"], None, 0),
     # a grid of 1.6e13 bytes
     "grid-points": (["single", "--tmax", "2e12", "--dt", "1"], None, 2),
     "huge-j": (["single", "--j", "1e200", "--tmax", "1", "--dt", "0.5"], None, 3),
@@ -639,28 +646,43 @@ EXTREME_INPUTS = {
                                    "--nmax", "1", "--tmax", "1", "--dt", "0.5"], None, 2),
     "overflowing-lambda-bangbang": (["bangbang", "--lambda", "1e308", "--modes", "1",
                                      "--nmax", "1"], None, 2),
+    # bangbang's slope is fitted through three or more cycle counts, each at
+    # a pulsed distance of at least 1e-12; a decoupled bath leaves none
+    "one-cycle-count": (["bangbang", "--cycles", "1", "--nmax", "2"], None, 2),
+    "two-cycle-counts": (["bangbang", "--cycles", "4,8", "--nmax", "2"], None, 2),
+    "repeated-cycle-count": (["bangbang", "--cycles", "4,8,8", "--nmax", "2"], None, 2),
+    "decoupled-bangbang": (["bangbang", "--lambda", "0", "--nmax", "2"], None, 3),
 }
 
 
 @pytest.mark.parametrize("name", list(EXTREME_INPUTS))
 def test_extreme_input_exit_code(tmp_path, name):
     # a child process, so that a guard that fails to stop a hang fails the
-    # timeout instead of stalling the suite
+    # timeout instead of stalling the suite; an overflow or NaN warning
+    # fails it too
     argv, config_text, expected = EXTREME_INPUTS[name]
     if config_text:
         (tmp_path / "run.cfg").write_text(config_text)
         argv = argv + ["--config", str(tmp_path / "run.cfg")]
     out = tmp_path / "out"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(Path(__file__).resolve().parents[1] / "src"),
+                   os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "polaron_deco.cli", *argv, "--out", str(out)],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == expected, proc.stderr[-2000:]
+    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    if expected == 0:
+        assert proc.stderr == ""
+        assert sorted(Path(p).name for p in proc.stdout.split()) == written
+        for csv in (out / f for f in written if f.endswith(".csv")):
+            assert np.all(np.isfinite(read_csv(csv)[1])), csv.name
+        return
     assert proc.stderr.count("\n") == 1, proc.stderr[-2000:]  # no warning before it
     record = json.loads(proc.stderr)  # one JSON record and nothing else
     assert record["error"] == ("ConfigError" if expected == 2 else "NumericalError")
     assert proc.stdout == ""
-    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
     assert written == ([] if expected == 2 else ["config_echo.cfg"])
 
 

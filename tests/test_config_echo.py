@@ -37,7 +37,7 @@ FIELDS = {
     "lambda_values": st.lists(finite, min_size=1, max_size=5).map(tuple),
     "n_modes": st.integers(min_value=1, max_value=11),
     "n_max": st.integers(min_value=1, max_value=DIM_CAP // 2 - 1),
-    "cycles": st.lists(count, min_size=1, max_size=6).map(tuple),
+    "cycles": st.lists(count, min_size=3, max_size=6, unique=True).map(tuple),
     "total_time": st.floats(min_value=0.0, max_value=1e6, exclude_min=True),
     "out_dir": st.text(alphabet="abcXYZ019_-./", min_size=1, max_size=20),
     "svg": st.booleans(),

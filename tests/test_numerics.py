@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,18 @@ from polaron_deco import (
     numerics,
 )
 from rk4_reference import ode_step_rk4
+
+
+def long_comb_dawson(x):
+    """Rybicki's comb as dawson sums it, over 30 odd terms on each side of
+    the even node n0 nearest x/h (offsets -59 ... 59) instead of 14, for
+    x > 0.5. Its first term left out is below e^{-225} rather than e^{-49}."""
+    h = numerics._COMB_H
+    offsets = np.arange(-59.0, 60.0, 2.0)
+    v = np.asarray(x, dtype=float)[:, None]
+    n0 = 2.0 * np.round(v / (2.0 * h))
+    comb = np.exp(-((v - n0 * h - offsets * h) ** 2)) / (n0 + offsets)
+    return comb.cumsum(axis=1)[:, -1] / np.sqrt(np.pi)
 
 
 def sine_transform_quadrature(z):
@@ -88,6 +101,40 @@ class TestDawson:
         assert np.all(ours[~nonzero] == 0.0)
         rel = np.abs(ours[nonzero] - ref[nonzero]) / np.abs(ref[nonzero])
         assert np.max(rel) <= 6e-15
+
+    def test_short_comb_matches_long_comb(self):
+        # 14 terms a side give the bits of 30: a dense grid past the series
+        # edge, and every Dawson argument of default-grid kernel tables
+        tau = np.linspace(0.0, 50.0, 10001)
+        xs = [np.linspace(0.51, 50.0, 100001), np.linspace(50.0, 300.0, 50001)]
+        for s in (1.0, 10.0, 100.0):
+            xs += [0.5 * tau, np.abs(0.5 * s - 0.5 * tau), 0.5 * s + 0.5 * tau]
+        x = np.concatenate(xs)
+        x = x[x > numerics._SERIES_EDGE]
+        assert np.array_equal(dawson(x), long_comb_dawson(x))
+        assert np.array_equal(dawson(-x), -long_comb_dawson(x))
+
+    def test_blocks_give_the_bits_of_one(self, monkeypatch):
+        # points go through in blocks of _BLOCK; any split gives the same
+        # bits, across the series edge and the asymptotic switch
+        x = np.concatenate([np.linspace(-60.0, 60.0, 3 * numerics._BLOCK + 7),
+                            np.geomspace(1e8, 1e10, 101)]).reshape(-1, 3)
+        whole = dawson(x)
+        monkeypatch.setattr(numerics, "_BLOCK", 5)
+        assert np.array_equal(dawson(x), whole)
+        assert np.array_equal(whole.ravel(), [dawson(v) for v in x.ravel()])
+
+    def test_asymptotic_form(self):
+        # past 1e9, 1/(2x): continuous with the comb at the switch, and no
+        # overflow up to the largest float, where the comb's node would
+        edge = numerics._ASYMPTOTIC_EDGE
+        comb, far = dawson(np.array([edge, np.nextafter(edge, np.inf)]))
+        assert abs(far - comb) <= 4e-16 * comb
+        big = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dawson(big) == 0.5 / big
+            assert dawson(-big) == -0.5 / big
 
     def test_large_arguments(self):
         # far beyond 2^53 h the comb's node index n0 + m is no longer exact;

@@ -450,6 +450,19 @@ class TestChebyshev:
         # the first order left out is below the tolerance
         assert abs(jv(n_terms, x)) < oracle.SERIES_TOL
 
+    @pytest.mark.parametrize("tau", [-1.0, [-1.0, 0.01]])
+    def test_negative_times(self, tau):
+        # the series is sized by the largest |tau|: a negative time alone
+        # once took the log of a negative x, and beside a small positive
+        # one kept too few terms (off by 8.1e-3)
+        cfg = ohmic_mode_config(n_modes=1, n_max=3)
+        ham = pd.build_hamiltonian(cfg)
+        psi = _vacuum_state([0.6, 0.8j], cfg.bath_dim)
+        got = oracle.ChebyshevPropagator(ham).evolve(psi, tau)
+        expected = Propagator(ham.toarray()).evolve(psi, tau)
+        assert got.shape == expected.shape == np.shape(tau) + psi.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
     def test_series_length(self):
         assert oracle._series_length(0.0) == 1
         assert oracle._series_length(1e-20) == 1
