@@ -80,7 +80,8 @@ class BathModel:
             raise ConfigError(f"s must be >= 0, got {self.s}")
 
     def kernel_zero(self) -> float:
-        """K_c(0) by the Dawson closed form, 2*lambda_g*(1/2 - F[s]/s).
+        """K_c(0) by the Dawson closed form, 2*lambda_g*(1/2 - F[s]/s), or
+        below s = 0.05 by its Maclaurin series in s (kernel_zero).
 
         This is the special-function route; kernel_cos(0) reaches the same
         number by quadrature.
@@ -88,14 +89,26 @@ class BathModel:
         return kernel_zero(self.lambda_g, self.s)
 
 
+# below this s the direct form 1/2 - F[s]/s has lost its digits to
+# cancellation (6e-13 of K_c(0) at s = 0.05, 7e-6 at s = 1e-5, and a
+# negative K_c(0) at subnormal s), so kernel_zero takes the kernel table's
+# series in s at tau = 0 instead
+_KERNEL_ZERO_SERIES_EDGE = 0.05
+
+
 def kernel_zero(lambda_g, s):
     """BathModel.kernel_zero elementwise over broadcast arrays of valid
-    lambda_g and s: exactly 0 where either is 0. Scalars give a float."""
+    lambda_g and s: exactly 0 where either is 0. Below s = 0.05 it is
+    _small_s_series at tau = 0, the Maclaurin series lambda_g (s^2/6 -
+    s^4/60 + ...), which stays accurate and nonnegative down to subnormal s
+    and has the bits of build_kernel_table's k_cos[0]. Scalars give a float."""
     lam = np.asarray(lambda_g, dtype=float)
     s = np.asarray(s, dtype=float)
-    safe_s = np.where(s == 0.0, 1.0, s)  # no 0/0 where the result is 0 anyway
-    k = np.where((lam == 0.0) | (s == 0.0), 0.0,
-                 2.0 * lam * (0.5 - dawson_sine(safe_s) / safe_s))
+    small = s < _KERNEL_ZERO_SERIES_EDGE
+    s_small = np.where(small, s, 0.0)
+    series = _small_s_series(np.zeros_like(s_small), s_small)[0] if small.any() else 0.0
+    safe_s = np.where(small, 1.0, s)  # no 0/0 where the series holds anyway
+    k = np.where(small, 2.0 * lam * series, 2.0 * lam * (0.5 - dawson_sine(safe_s) / safe_s))
     return k if k.ndim else float(k)
 
 
@@ -149,8 +162,10 @@ def kernel_sin(tau: float, model: BathModel) -> float:
 def effective_hopping_ratio(model: BathModel) -> float:
     """Dressed over bare hopping, exp(-K_c(0)/2), in (0, 1].
 
-    Equals exp(-lambda_g * (1/2 - F[s]/s)); exactly 1 when s = 0 or
-    lambda_g = 0, and saturates to exp(-lambda_g / 2) for s -> inf.
+    Equals exp(-lambda_g * (1/2 - F[s]/s)), or exp(-lambda_g * (s^2/12 -
+    ...)) below s = 0.05 where kernel_zero takes its series, so it stays in
+    (0, 1] down to subnormal s; exactly 1 when s = 0 or lambda_g = 0, and
+    saturates to exp(-lambda_g / 2) for s -> inf.
     """
     return float(np.exp(-0.5 * model.kernel_zero()))
 
@@ -180,8 +195,9 @@ def _closed_forms(x, s: float):
     return k_cos, k_sin
 
 
-def _small_s_series(x, s: float):
-    """(K_c, K_s) / 2 lambda_g at tau = 2x, as series in a = s/2.
+def _small_s_series(x, s):
+    """(K_c, K_s) / 2 lambda_g at tau = 2x, as series in a = s/2 (s a
+    float, or an array of x's shape).
 
     With y = x s, the brackets are Taylor series about x:
     K_c / 2 lambda_g = -(1/2) sum_{odd k >= 3} E_k, E_k = D^(k)(x) a^(k-1) / k!,

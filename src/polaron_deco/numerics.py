@@ -97,37 +97,45 @@ class TimeGrid:
 #   |x| > 1e9    1/(2x): the next term of (1 + 1/(2x^2) + ...)/(2x) is below
 #                5e-19 relative, and the comb's node index would overflow
 #                near the largest float
-# The series and the comb are running sums in order of increasing n (cumsum,
-# not numpy's pairwise sum), so each value rounds as an ascending scalar
-# loop over n would. Points go through in blocks of _BLOCK, so the
-# (points x terms) arrays stay small however long x is.
+# The series and the comb are running sums in order of increasing n, one
+# term at a time over the whole block (never numpy's pairwise sum), so each
+# value rounds as an ascending scalar loop over n would. Points go through
+# in blocks of _BLOCK, so each 1-D temporary stays at 128 KB however long x
+# is.
 
 _SERIES_EDGE = 0.5
 _SERIES_DIVISORS = np.arange(3.0, 31.0, 2.0)  # 2n + 1 for n = 1 ... 14
 _COMB_H = 0.25
 _COMB_OFFSETS = np.arange(-27.0, 28.0, 2.0)  # odd n - n0 for the even node n0
 _ASYMPTOTIC_EDGE = 1e9
-_BLOCK = 4096
+_BLOCK = 16384
 
 
 def _dawson_block(ax: np.ndarray) -> np.ndarray:
     """dawson of a 1-D array of finite |x|."""
     val = np.empty_like(ax)
     series = ax <= _SERIES_EDGE
-    v = ax[series, None]
-    # term_n = term_{n-1} * (-2 x^2) / (2n + 1), term_0 = x
-    steps = np.concatenate([v, -2.0 * v * v / _SERIES_DIVISORS], axis=1)
-    val[series] = np.cumprod(steps, axis=1).cumsum(axis=1)[:, -1]
+    v = ax[series]
+    if v.size:
+        # term_n = term_{n-1} * (-2 x^2) / (2n + 1), term_0 = x
+        step, term, acc = -2.0 * v * v, v.copy(), v.copy()
+        for divisor in _SERIES_DIVISORS:
+            term *= step / divisor
+            acc += term
+        val[series] = acc
     far = ax > _ASYMPTOTIC_EDGE
     val[far] = 0.5 / ax[far]
     comb = ~(series | far)
-    v = ax[comb, None]
-    n0 = 2.0 * np.round(v / (2.0 * _COMB_H))
-    # x - n h as (x - n0 h) - (n - n0) h: x - n0 h is exact, so each
-    # distance is rounded once, even where n = n0 + m is not exact
-    offset = v - n0 * _COMB_H - _COMB_OFFSETS * _COMB_H
-    terms = np.exp(-(offset ** 2)) / (n0 + _COMB_OFFSETS)
-    val[comb] = terms.cumsum(axis=1)[:, -1] / math.sqrt(math.pi)
+    v = ax[comb]
+    if v.size:
+        n0 = 2.0 * np.round(v / (2.0 * _COMB_H))
+        # x - n h as (x - n0 h) - (n - n0) h: x - n0 h is exact, so each
+        # distance is rounded once, even where n = n0 + m is not exact
+        base = v - n0 * _COMB_H
+        acc = np.zeros_like(v)
+        for offset in _COMB_OFFSETS:
+            acc += np.exp(-((base - offset * _COMB_H) ** 2)) / (n0 + offset)
+        val[comb] = acc / math.sqrt(math.pi)
     return val
 
 

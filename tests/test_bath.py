@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,8 +143,9 @@ class TestEffectiveHopping:
 
     def test_kernel_zero_along_an_axis(self):
         # one call per axis (the effective-hopping verb) gives the bits of
-        # the scalar formula, with s = 0 and lambda_g = 0 exactly 0 and no
-        # 0/0 warning
+        # the scalar formulas, the series below the switch and the direct
+        # form above it, with s = 0 and lambda_g = 0 exactly 0 and no 0/0
+        # warning
         lam = np.linspace(0.0, 2.0, 81)
         s = np.concatenate([[0.0, 1e-12], np.logspace(-1.0, 2.0, 61)])
         with warnings.catch_warnings():
@@ -151,8 +153,20 @@ class TestEffectiveHopping:
             table = bath.kernel_zero(lam[:, None], s)
             by_lam = [bath.kernel_zero(lam, v) for v in s]
             by_s = [bath.kernel_zero(v, s) for v in lam]
-        scalar = np.array([[2.0 * float(l) * (0.5 - pd.dawson_sine(float(v)) / float(v))
-                            if l and v else 0.0 for v in s] for l in lam])
+
+        def scalar_formula(v):
+            # K_c(0) at s = v as a function of lambda_g
+            if v < bath._KERNEL_ZERO_SERIES_EDGE:
+                # the table's series at tau = 0, times 2 * 0.5 = 1 exactly
+                grid = TimeGrid(t_max=1.0, dt=0.5)
+                series = pd.build_kernel_table(BathModel(lambda_g=0.5, s=v), grid).k_cos[0]
+                return lambda l: 2.0 * l * series
+            direct = 0.5 - pd.dawson_sine(v) / v
+            return lambda l: 2.0 * l * direct
+
+        formulas = [scalar_formula(float(v)) for v in s]
+        scalar = np.array([[f(float(l)) if l and v else 0.0
+                            for v, f in zip(s, formulas)] for l in lam])
         assert np.array_equal(table, scalar)
         assert np.array_equal(np.transpose(by_lam), scalar)
         assert np.array_equal(by_s, scalar)
@@ -212,6 +226,72 @@ class TestEffectiveHopping:
         ratio = pd.effective_hopping_ratio(model)
         assert ratio == pytest.approx(np.exp(-0.5 * pd.kernel_cos(0.0, model)),
                                       rel=1e-10)
+
+
+def kernel_zero_maclaurin(s, lam=1.0, terms=12):
+    """Independent reference: the Maclaurin series of 2 lam (1/2 - F[s]/s),
+    lam sum_{n >= 1} (-1)^(n+1) s^(2n) / (2^n (2n+1)!!), summed in exact
+    rational arithmetic and rounded once."""
+    x = Fraction(float(s))
+    total, double_factorial = Fraction(0), 1
+    for n in range(1, terms + 1):
+        double_factorial *= 2 * n + 1
+        total += (-1) ** (n + 1) * x ** (2 * n) / (2 ** n * double_factorial)
+    return float(Fraction(float(lam)) * total)
+
+
+class TestKernelZeroSmallS:
+    """Below s = 0.05 the direct form 1/2 - F[s]/s cancels to nothing (and
+    read -1/3 at s = 1.5e-323), so kernel_zero takes its series there."""
+
+    EDGE = bath._KERNEL_ZERO_SERIES_EDGE
+
+    def test_nonnegative_and_ratio_in_unit_interval(self):
+        # subnormal, tiny and ordinary s up to 1e3, both sides of the switch
+        s = np.concatenate([[5e-324, 1.5e-323, 1e-320, 1e-310, 2.2250738585072014e-308],
+                            np.geomspace(1e-300, 1e3, 4001),
+                            [np.nextafter(self.EDGE, 0.0), self.EDGE]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in (0.1, 1.0, 5.0):
+                k = bath.kernel_zero(lam, s)
+                assert np.all(k >= 0.0)
+                ratio = np.exp(-0.5 * k)
+                assert np.all((ratio > 0.0) & (ratio <= 1.0))
+                for v in (5e-324, 1.5e-323, 1e-310, 1e-5):
+                    r = pd.effective_hopping_ratio(BathModel(lambda_g=lam, s=v))
+                    assert 0.0 < r <= 1.0
+
+    def test_series_branch(self):
+        # 1e-150 keeps s^2 a normal float; below it K_c(0) underflows to 0
+        for v in np.concatenate([np.geomspace(1e-150, self.EDGE, 301, endpoint=False),
+                                 [np.nextafter(self.EDGE, 0.0)]]):
+            ref = kernel_zero_maclaurin(v, lam=1.7)
+            assert abs(bath.kernel_zero(1.7, v) - ref) <= 1e-14 * ref
+        assert bath.kernel_zero(1.0, 1e-200) == 0.0
+
+    def test_direct_form_keeps_its_bits_above_the_switch(self):
+        s = np.concatenate([[self.EDGE], np.geomspace(self.EDGE, 1e300, 2001),
+                            np.logspace(-1.0, 2.0, 61)])
+        assert np.array_equal(bath.kernel_zero(1.3, s),
+                              2.0 * 1.3 * (0.5 - pd.dawson_sine(s) / s))
+
+    def test_continuous_at_switch(self):
+        below = bath.kernel_zero(1.0, np.nextafter(self.EDGE, 0.0))
+        above = bath.kernel_zero(1.0, self.EDGE)
+        assert abs(above - below) <= 3e-13 * above
+
+    def test_matches_kernel_table(self):
+        # below the switch kernel_zero sums the table's own series at tau = 0,
+        # so the bits agree; above it the direct form agrees to its own
+        # cancellation error (2.7e-13 near s = 0.05)
+        grid = TimeGrid(t_max=1.0, dt=0.5)
+        for v in np.geomspace(1e-6, 0.25, 241, endpoint=False):
+            ref = pd.build_kernel_table(BathModel(lambda_g=1.3, s=v), grid).k_cos[0]
+            if v < self.EDGE:
+                assert bath.kernel_zero(1.3, v) == ref
+            else:
+                assert abs(bath.kernel_zero(1.3, v) - ref) <= 6e-13 * ref
 
 
 class TestKernelTable:

@@ -18,16 +18,42 @@ from polaron_deco import (
 from rk4_reference import ode_step_rk4
 
 
-def long_comb_dawson(x):
-    """Rybicki's comb as dawson sums it, over 30 odd terms on each side of
-    the even node n0 nearest x/h (offsets -59 ... 59) instead of 14, for
-    x > 0.5. Its first term left out is below e^{-225} rather than e^{-49}."""
+def long_comb_dawson(x, reach=59):
+    """Rybicki's comb for x > 0.5, summed over a (points x terms) tile with
+    a running sum along each row, over the odd offsets -reach ... reach
+    from the even node n0 nearest x/h. reach 59 gives 30 terms on each side
+    instead of dawson's 14, so its first term left out is below e^{-225}
+    rather than e^{-49}; reach 27 is dawson's own comb in this layout."""
     h = numerics._COMB_H
-    offsets = np.arange(-59.0, 60.0, 2.0)
+    offsets = np.arange(-float(reach), reach + 1.0, 2.0)
     v = np.asarray(x, dtype=float)[:, None]
     n0 = 2.0 * np.round(v / (2.0 * h))
     comb = np.exp(-((v - n0 * h - offsets * h) ** 2)) / (n0 + offsets)
     return comb.cumsum(axis=1)[:, -1] / np.sqrt(np.pi)
+
+
+def tiled_series_dawson(x):
+    """The Maclaurin series for |x| <= 0.5 over a (points x 15) tile: the
+    terms as running products along each row, then their running sum."""
+    v = np.asarray(x, dtype=float)[:, None]
+    steps = np.concatenate([v, -2.0 * v * v / numerics._SERIES_DIVISORS], axis=1)
+    return np.cumprod(steps, axis=1).cumsum(axis=1)[:, -1]
+
+
+def tiled_dawson(x):
+    """dawson with each branch summed over (points x terms) tiles, as one
+    array of any shape: the series, the 14-a-side comb, and 1/(2x) past
+    1e9. Its terms and their order are dawson's, so its bits must be too."""
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x).ravel()
+    out = np.empty_like(ax)
+    series = ax <= numerics._SERIES_EDGE
+    far = ax > numerics._ASYMPTOTIC_EDGE
+    comb = ~(series | far)
+    out[series] = tiled_series_dawson(ax[series])
+    out[comb] = long_comb_dawson(ax[comb], reach=27)
+    out[far] = 0.5 / ax[far]
+    return np.copysign(out.reshape(x.shape), x)
 
 
 def sine_transform_quadrature(z):
@@ -114,14 +140,59 @@ class TestDawson:
         assert np.array_equal(dawson(x), long_comb_dawson(x))
         assert np.array_equal(dawson(-x), -long_comb_dawson(x))
 
+    @pytest.mark.parametrize("name", ["fig2", "series-edge", "random", "geometric"])
+    def test_term_loops_give_the_bits_of_the_tiles(self, name):
+        # the term-by-term loops over 1-D blocks add the same terms in the
+        # same order as running sums along (points x terms) tiles
+        rng = np.random.default_rng(39)
+        if name == "fig2":
+            # every Dawson argument of the default-grid fig2 kernel tables
+            x = 0.5 * np.linspace(0.0, 50.0, 10001)
+            x = np.concatenate([x] + [np.concatenate([x + 0.5 * s, 0.5 * s - x])
+                                      for s in (1.0, 10.0, 100.0)])
+        elif name == "series-edge":
+            x = np.linspace(-0.6, 0.6, 240001)
+        elif name == "random":
+            x = np.concatenate([rng.uniform(-60.0, 60.0, 100000),
+                                rng.uniform(-0.6, 0.6, 100000)])
+        else:
+            x = np.geomspace(1e-300, 1e300, 60001) * rng.choice([-1.0, 1.0], 60001)
+        assert np.array_equal(dawson(x).view(np.int64), tiled_dawson(x).view(np.int64))
+
+    def test_empty_and_one_point(self):
+        assert dawson(np.zeros((0, 3))).shape == (0, 3)
+        for v in (0.0, -0.0, 0.3, -0.5, 0.50000001, 7.25, -33.1, 2e9):
+            one = np.array([v])
+            assert np.array_equal(dawson(one).view(np.int64), tiled_dawson(one).view(np.int64))
+            assert dawson(v) == tiled_dawson(one)[0]
+
+    def test_memory_is_bounded(self):
+        # 10^6 points: the output and O(_BLOCK) floats of per-block
+        # temporaries, never a point-sized temporary (an unblocked
+        # evaluation peaks near 7 times the output)
+        x = np.concatenate([np.linspace(-60.0, 60.0, 500000),
+                            np.linspace(-0.6, 0.6, 400000),
+                            np.geomspace(1e-3, 1e12, 100000)])
+        bound = x.nbytes + 16 * 8 * numerics._BLOCK
+        assert bound < 1.5 * x.nbytes
+        tracemalloc.start()
+        try:
+            dawson(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
     def test_blocks_give_the_bits_of_one(self, monkeypatch):
         # points go through in blocks of _BLOCK; any split gives the same
-        # bits, across the series edge and the asymptotic switch
-        x = np.concatenate([np.linspace(-60.0, 60.0, 3 * numerics._BLOCK + 7),
+        # bits, across the series edge and the asymptotic switch: blocks
+        # of 4099 (several per call), of 5, and single points
+        x = np.concatenate([np.linspace(-60.0, 60.0, 3 * 4099 + 7),
                             np.geomspace(1e8, 1e10, 101)]).reshape(-1, 3)
         whole = dawson(x)
-        monkeypatch.setattr(numerics, "_BLOCK", 5)
-        assert np.array_equal(dawson(x), whole)
+        for block in (4099, 5):
+            monkeypatch.setattr(numerics, "_BLOCK", block)
+            assert np.array_equal(dawson(x), whole)
         assert np.array_equal(whole.ravel(), [dawson(v) for v in x.ravel()])
 
     def test_asymptotic_form(self):
