@@ -36,19 +36,19 @@ reference = None
 for lam in (0.05, 0.1, 0.2, 0.5, 1.0):
     cfg = ohmic_mode_config(n_modes=2, n_max=5, coupling=lam, s=1.0, j_hop=0.1)
     comp = compare_with_master_equation(cfg, rho0, grid)
-    print(f"{lam:>9g} {comp.adiabaticity_ratio:>9.4f} {comp.rms_coherence_diff:>9.4f}")
+    print(f"{lam:>9g} {comp.exact.adiabaticity_ratio:>9.4f} {comp.rms_coherence_diff:>9.4f}")
     if lam == 0.1:
         reference = comp
 
 write_csv(os.path.join(out_dir, "compare.csv"),
           ["t", "C_exact", "C_master"],
-          [grid.points, reference.exact.coherence, reference.master.coherence])
+          [grid.points, reference.exact.trajectory.coherence, reference.master.coherence])
 write_svg(os.path.join(out_dir, "compare.svg"), grid.points,
-          {"exact": reference.exact.coherence, "rate eq": reference.master.coherence},
+          {"exact": reference.exact.trajectory.coherence, "rate eq": reference.master.coherence},
           title="exact vs rate equation (coupling 0.1)", x_label="t", y_label="C(t)")
 
 # the exact curve wiggles because the lab-frame state carries the boson
 # dressing; the rate equation lives in the dressed frame and cannot see it
-print(f"\nexact C dips to {np.min(reference.exact.coherence):.4f}, "
+print(f"\nexact C dips to {np.min(reference.exact.trajectory.coherence):.4f}, "
       f"rate equation stays above {np.min(reference.master.coherence):.4f}")
 print(f"outputs in {out_dir}")

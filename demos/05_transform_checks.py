@@ -22,6 +22,7 @@ from polaron_deco import (
     kernel_cos,
     lang_firsov_check,
 )
+from polaron_deco.bath import kernel_zero
 
 # 1. displacement transform, one mode with alpha = 0.5
 cfg = TruncatedBathConfig(mode_freqs=(1.0,), g_site1=(0.5,), g_site2=(0.0,),
@@ -39,7 +40,7 @@ print("\nkernel normalization, quadrature vs Dawson closed form")
 for lam, s in ((0.1, 0.1), (1.0, 1.0), (5.0, 100.0)):
     model = BathModel(lambda_g=lam, s=s)
     a = kernel_cos(0.0, model)
-    b = model.kernel_zero()
+    b = kernel_zero(model.lambda_g, model.s)
     print(f"  lam={lam:<4g} s={s:<6g}: {a:.12f} vs {b:.12f}  (diff {abs(a-b):.1e})")
 
 # 3. the inert energy-shift term, on the one-particle states |10>, |01>:

@@ -19,12 +19,13 @@ function D (numerics.dawson) and Gaussians,
     K_s(tau) / 2 lambda_g = (sqrt(pi)/4) tau e^{-tau^2/4}
                             - (sqrt(pi)/4s) [e^{-(s-tau)^2/4} - e^{-(s+tau)^2/4}]
 
-which build_kernel_table evaluates on a whole grid (K_c(0) = 2 lambda_g
-(1/2 - F[s]/s), with F the Gaussian sine transform numerics.dawson_sine,
-is BathModel.kernel_zero). The pointwise kernel_cos / kernel_sin integrate
-the mode sum itself with a fixed composite Kronrod rule; that quadrature
-route against the special-function route is the main cross-check, enforced
-by the test suite and the selftest.
+which build_kernel_table evaluates on a whole grid. kernel_zero is that
+table's tau = 0 entry with the same bits, K_c(0) = 2 lambda_g (1/2 -
+F[s]/s) with F the Gaussian sine transform numerics.dawson_sine, or its
+series at small s. The pointwise kernel_cos / kernel_sin integrate the
+mode sum itself with a fixed composite Kronrod rule; that quadrature route
+against the special-function route is the main cross-check, enforced by
+the test suite and the selftest.
 """
 
 from __future__ import annotations
@@ -79,36 +80,25 @@ class BathModel:
         if not self.s >= 0:
             raise ConfigError(f"s must be >= 0, got {self.s}")
 
-    def kernel_zero(self) -> float:
-        """K_c(0) by the Dawson closed form, 2*lambda_g*(1/2 - F[s]/s), or
-        below s = 0.05 by its Maclaurin series in s (kernel_zero).
-
-        This is the special-function route; kernel_cos(0) reaches the same
-        number by quadrature.
-        """
-        return kernel_zero(self.lambda_g, self.s)
-
-
-# below this s the direct form 1/2 - F[s]/s has lost its digits to
-# cancellation (6e-13 of K_c(0) at s = 0.05, 7e-6 at s = 1e-5, and a
-# negative K_c(0) at subnormal s), so kernel_zero takes the kernel table's
-# series in s at tau = 0 instead
-_KERNEL_ZERO_SERIES_EDGE = 0.05
-
 
 def kernel_zero(lambda_g, s):
-    """BathModel.kernel_zero elementwise over broadcast arrays of valid
-    lambda_g and s: exactly 0 where either is 0. Below s = 0.05 it is
-    _small_s_series at tau = 0, the Maclaurin series lambda_g (s^2/6 -
-    s^4/60 + ...), which stays accurate and nonnegative down to subnormal s
-    and has the bits of build_kernel_table's k_cos[0]. Scalars give a float."""
+    """K_c(0), the total dressing weight, elementwise over broadcast arrays
+    of valid lambda_g and s: build_kernel_table's k_cos[0], bit for bit, at
+    every s. It is the Dawson closed form 2 lambda_g (1/2 - F[s]/s), or
+    below _SMALL_S, where that form cancels, the table's series in s at
+    tau = 0, the Maclaurin series lambda_g (s^2/6 - s^4/60 + ...), which
+    stays nonnegative down to subnormal s. Exactly 0 where lambda_g or s is
+    0; scalars give a float. kernel_cos(0) reaches the same number by
+    quadrature."""
     lam = np.asarray(lambda_g, dtype=float)
     s = np.asarray(s, dtype=float)
-    small = s < _KERNEL_ZERO_SERIES_EDGE
+    small = s < _SMALL_S
     s_small = np.where(small, s, 0.0)
     series = _small_s_series(np.zeros_like(s_small), s_small)[0] if small.any() else 0.0
     safe_s = np.where(small, 1.0, s)  # no 0/0 where the series holds anyway
-    k = np.where(small, 2.0 * lam * series, 2.0 * lam * (0.5 - dawson_sine(safe_s) / safe_s))
+    # scaled after the branch is chosen, so that neither 2 lambda_g nor the
+    # discarded branch overflows near the float max; doubling is exact
+    k = lam * (2.0 * np.where(small, series, 0.5 - dawson_sine(safe_s) / safe_s))
     return k if k.ndim else float(k)
 
 
@@ -163,17 +153,18 @@ def effective_hopping_ratio(model: BathModel) -> float:
     """Dressed over bare hopping, exp(-K_c(0)/2), in (0, 1].
 
     Equals exp(-lambda_g * (1/2 - F[s]/s)), or exp(-lambda_g * (s^2/12 -
-    ...)) below s = 0.05 where kernel_zero takes its series, so it stays in
+    ...)) below _SMALL_S where kernel_zero takes its series, so it stays in
     (0, 1] down to subnormal s; exactly 1 when s = 0 or lambda_g = 0, and
     saturates to exp(-lambda_g / 2) for s -> inf.
     """
-    return float(np.exp(-0.5 * model.kernel_zero()))
+    return float(np.exp(-0.5 * kernel_zero(model.lambda_g, model.s)))
 
 
 _ROOT_PI_4 = math.sqrt(math.pi) / 4.0
 # below this s the closed forms' 1/s brackets lose digits to cancellation
 # (3.7e-14 of K_c at s = 0.01, and all of them as s -> 0), so where
-# tau * s < 2 build_kernel_table sums them as series in s instead
+# tau * s < 2 build_kernel_table (and so kernel_zero, its tau = 0 entry) sums
+# them as series in s instead
 _SMALL_S = 0.25
 # the series stop at order 15 in s: with |D^(k)| <= 2^(k-1) Gamma((k+1)/2)
 # and |H_k(x)| e^{-x^2/2} <= 1.09 sqrt(2^k k!), the first order left out
@@ -246,7 +237,8 @@ def build_kernel_table(model: BathModel, grid: TimeGrid) -> KernelTable:
     if m:
         k[:, :m] = _small_s_series(x[:m], model.s)
     k[:, m:] = _closed_forms(x[m:], model.s)
-    k *= 2.0 * model.lambda_g
+    k *= 2.0  # exact, so this rounds 2 lambda_g k once, with no overflow of 2 lambda_g
+    k *= model.lambda_g
     return KernelTable(grid=grid, k_cos=k[0], k_sin=k[1])
 
 

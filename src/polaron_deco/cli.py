@@ -293,14 +293,15 @@ def _run_oracle_compare(config):
     grid = config.grid()
     comp = oracle.compare_with_master_equation(
         config.oracle_config(), config.initial_state(), grid)
+    exact = comp.exact
     return [(
         "compare",
         ["t", "C_exact", "C_master", "PD_exact", "PD_master"],
-        [grid.points, comp.exact.coherence, comp.master.coherence,
-         comp.exact.pop_diff, comp.master.pop_diff],
-        [f"# j_tilde={format_number(comp.j_tilde)} "
-         f"delta_e_b={format_number(comp.delta_e_b)} "
-         f"adiabaticity_ratio={format_number(comp.adiabaticity_ratio)} "
+        [grid.points, exact.trajectory.coherence, comp.master.coherence,
+         exact.trajectory.pop_diff, comp.master.pop_diff],
+        [f"# j_tilde={format_number(exact.j_tilde)} "
+         f"delta_e_b={format_number(exact.delta_e_b)} "
+         f"adiabaticity_ratio={format_number(exact.adiabaticity_ratio)} "
          f"rms_coherence_diff={format_number(comp.rms_coherence_diff)}"],
         ({"C_exact": "C_exact", "C_master": "C_master"},
          dict(title="exact vs rate equation", x_label="t", y_label="C(t)")),
@@ -396,7 +397,7 @@ def selftest() -> bool:
         for lam in (0.1, 1.0, 5.0):
             for s in (0.1, 1.0, 10.0, 100.0):
                 model = bath.BathModel(lambda_g=lam, s=s)
-                if abs(bath.kernel_cos(0.0, model) - model.kernel_zero()) > 1e-12:
+                if abs(bath.kernel_cos(0.0, model) - bath.kernel_zero(lam, s)) > 1e-12:
                     raise NumericalError(f"kernel zero mismatch at lam={lam} s={s}")
 
     def _no_decoherence_limit():

@@ -804,15 +804,13 @@ def exact_decoherence_reference(config: TruncatedBathConfig, rho0: DensityMatrix
 
 @dataclass(frozen=True)
 class MasterEquationComparison:
-    exact: Trajectory
+    """The exact reference (its trajectory, j_tilde, delta_e_b and
+    adiabaticity_ratio) beside the rate-equation trajectory on the same
+    modes, and the RMS difference of their coherences."""
+
+    exact: ExactReference
     master: Trajectory
     rms_coherence_diff: float
-    j_tilde: float
-    delta_e_b: float
-
-    @property
-    def adiabaticity_ratio(self) -> float:
-        return self.j_tilde / self.delta_e_b
 
 
 def compare_with_master_equation(config: TruncatedBathConfig, rho0: DensityMatrixST,
@@ -836,7 +834,4 @@ def compare_with_master_equation(config: TruncatedBathConfig, rho0: DensityMatri
     rms = float(np.sqrt(np.mean(
         (exact.trajectory.coherence - master.coherence) ** 2
     )))
-    return MasterEquationComparison(
-        exact=exact.trajectory, master=master, rms_coherence_diff=rms,
-        j_tilde=exact.j_tilde, delta_e_b=exact.delta_e_b,
-    )
+    return MasterEquationComparison(exact=exact, master=master, rms_coherence_diff=rms)

@@ -5,10 +5,13 @@ single integrals over the elapsed-time variable u = t - tau:
 
     gamma_pm(t) = 2 Jt^2 int_0^t [ e^{+-K_c(u)} cos(K_s(u)) - 1 ] du
 
-where Jt is the dressed hopping. The second-order expansion also yields a
-Lamb-shift rate beta(t) = 2 Jt^2 int_0^t e^{K_c(u)} sin(K_s(u)) du, but it
-multiplies a commutator with n1(1-n2) + n2(1-n1), which is the identity on
-the single-particle sector, so it vanishes and beta(t) is not computed. A
+where Jt = J e^{-K_c(0)/2} is the dressed hopping, read off the kernel
+table's own first entry, so that a rate table has one K_c(0); the
+quadrature route bath.kernel_cos(0) is the independent check of it. The
+second-order expansion also yields a Lamb-shift rate
+beta(t) = 2 Jt^2 int_0^t e^{K_c(u)} sin(K_s(u)) du, but it multiplies a
+commutator with n1(1-n2) + n2(1-n1), which is the identity on the
+single-particle sector, so it vanishes and beta(t) is not computed. A
 RateTable stores gamma_+- only; the composite rates are derived from them
 by their definitions,
 
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathModel, KernelTable, build_kernel_table, effective_hopping_ratio
+from .bath import BathModel, KernelTable, build_kernel_table
 from .errors import ConfigError, NumericalError
 from .numerics import TimeGrid, cumulative_trapezoid
 
@@ -81,16 +84,11 @@ class RateTable:
         return cumulative_trapezoid(self.cap_gamma2, self.grid)
 
 
-def build_rate_table_from_kernels(kernels: KernelTable, j_hop: float,
-                                  j_tilde: float | None = None) -> RateTable:
-    """Rates from an existing kernel table.
-
-    The dressed hopping defaults to j_hop * exp(-K_c(0)/2), i.e. it is read
-    off the same kernel table; pass j_tilde to override.
-    """
+def build_rate_table_from_kernels(kernels: KernelTable, j_hop: float) -> RateTable:
+    """Rates from an existing kernel table; the dressed hopping
+    j_hop * exp(-K_c(0)/2) is read off the same table's k_cos[0]."""
     grid = kernels.grid
-    if j_tilde is None:
-        j_tilde = j_hop * float(np.exp(-0.5 * kernels.k_cos[0]))
+    j_tilde = j_hop * float(np.exp(-0.5 * kernels.k_cos[0]))
     try:
         pref = 2.0 * j_tilde**2
     except OverflowError:
@@ -117,14 +115,11 @@ def build_rate_table_from_kernels(kernels: KernelTable, j_hop: float,
 
 
 def build_rate_table(model: BathModel, j_hop: float, grid: TimeGrid) -> RateTable:
-    """Full rate table for a continuum bath model.
-
-    The kernels are tabulated once on grid; the dressed hopping comes from
-    the closed-form ratio so the two routes stay independently testable.
-    """
-    kernels = build_kernel_table(model, grid)
-    j_tilde = j_hop * effective_hopping_ratio(model)
-    return build_rate_table_from_kernels(kernels, j_hop, j_tilde=j_tilde)
+    """Full rate table for a continuum bath model: the kernels are tabulated
+    once on grid, and the dressed hopping is read off their k_cos[0], which
+    is bath.kernel_zero bit for bit. The quadrature route kernel_cos(0) is
+    the independent check of K_c(0)."""
+    return build_rate_table_from_kernels(build_kernel_table(model, grid), j_hop)
 
 
 def rate_at(table: RateTable, t, which: str):

@@ -19,6 +19,14 @@ ODE_CF_STATES = (
 )
 
 
+# the (lambda_g, s) set on which K_c(0) has one rule: s = 0, subnormal s,
+# both sides of the kernel table's series switch at s = 0.25, and a
+# geometric grid across it
+ONE_RULE_LAMBDAS = (0.5, 1.0, 1.37)
+ONE_RULE_S = np.concatenate([[0.0, 5e-324, 1.5e-323, np.nextafter(0.25, 0.0), 0.25],
+                             np.geomspace(1e-6, 1e3, 4000)])
+
+
 @pytest.fixture(scope="session")
 def default_grid():
     return pd.TimeGrid(t_max=50.0, dt=0.005)

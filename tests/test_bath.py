@@ -10,6 +10,7 @@ from scipy.special import dawsn
 import polaron_deco as pd
 from polaron_deco import BathModel, ConfigError, TimeGrid, bath, numerics
 from polaron_deco.bath import sinc
+from conftest import ONE_RULE_LAMBDAS, ONE_RULE_S
 
 
 def kernel_quadrature(tau, s, lam=1.0, trig=np.cos):
@@ -64,8 +65,8 @@ class TestBathModel:
             BathModel(**{field: value})
 
     def test_kernel_zero_special_cases(self):
-        assert BathModel(lambda_g=0.0).kernel_zero() == 0.0
-        assert BathModel(s=0.0).kernel_zero() == 0.0
+        assert bath.kernel_zero(0.0, 1.0) == 0.0
+        assert bath.kernel_zero(1.0, 0.0) == 0.0
 
 
 class TestKernels:
@@ -88,7 +89,7 @@ class TestKernels:
                                        (1.0, 0.1), (1.0, 10.0), (1.0, 100.0)])
     def test_cos_zero_matches_dawson_closed_form(self, lam, s):
         model = BathModel(lambda_g=lam, s=s)
-        assert abs(pd.kernel_cos(0.0, model) - model.kernel_zero()) <= 1e-8
+        assert abs(pd.kernel_cos(0.0, model) - bath.kernel_zero(lam, s)) <= 1e-8
 
     @pytest.mark.parametrize("tau,s", [(0.5, 1.0), (1.0, 1.0), (5.0, 10.0),
                                        (2.0, 0.1), (20.0, 10.0)])
@@ -143,9 +144,9 @@ class TestEffectiveHopping:
 
     def test_kernel_zero_along_an_axis(self):
         # one call per axis (the effective-hopping verb) gives the bits of
-        # the scalar formulas, the series below the switch and the direct
-        # form above it, with s = 0 and lambda_g = 0 exactly 0 and no 0/0
-        # warning
+        # the scalar formulas, the table's series below its switch at
+        # s = 0.25 and the direct form above it, with s = 0 and
+        # lambda_g = 0 exactly 0 and no 0/0 warning
         lam = np.linspace(0.0, 2.0, 81)
         s = np.concatenate([[0.0, 1e-12], np.logspace(-1.0, 2.0, 61)])
         with warnings.catch_warnings():
@@ -156,7 +157,7 @@ class TestEffectiveHopping:
 
         def scalar_formula(v):
             # K_c(0) at s = v as a function of lambda_g
-            if v < bath._KERNEL_ZERO_SERIES_EDGE:
+            if v < bath._SMALL_S:
                 # the table's series at tau = 0, times 2 * 0.5 = 1 exactly
                 grid = TimeGrid(t_max=1.0, dt=0.5)
                 series = pd.build_kernel_table(BathModel(lambda_g=0.5, s=v), grid).k_cos[0]
@@ -241,10 +242,11 @@ def kernel_zero_maclaurin(s, lam=1.0, terms=12):
 
 
 class TestKernelZeroSmallS:
-    """Below s = 0.05 the direct form 1/2 - F[s]/s cancels to nothing (and
-    read -1/3 at s = 1.5e-323), so kernel_zero takes its series there."""
+    """At small s the direct form 1/2 - F[s]/s cancels to nothing (and read
+    -1/3 at s = 1.5e-323), so below the kernel table's switch at s = 0.25
+    kernel_zero takes the table's series."""
 
-    EDGE = bath._KERNEL_ZERO_SERIES_EDGE
+    EDGE = bath._SMALL_S
 
     def test_nonnegative_and_ratio_in_unit_interval(self):
         # subnormal, tiny and ordinary s up to 1e3, both sides of the switch
@@ -270,28 +272,32 @@ class TestKernelZeroSmallS:
             assert abs(bath.kernel_zero(1.7, v) - ref) <= 1e-14 * ref
         assert bath.kernel_zero(1.0, 1e-200) == 0.0
 
-    def test_direct_form_keeps_its_bits_above_the_switch(self):
-        s = np.concatenate([[self.EDGE], np.geomspace(self.EDGE, 1e300, 2001),
-                            np.logspace(-1.0, 2.0, 61)])
-        assert np.array_equal(bath.kernel_zero(1.3, s),
-                              2.0 * 1.3 * (0.5 - pd.dawson_sine(s) / s))
-
-    def test_continuous_at_switch(self):
-        below = bath.kernel_zero(1.0, np.nextafter(self.EDGE, 0.0))
-        above = bath.kernel_zero(1.0, self.EDGE)
-        assert abs(above - below) <= 3e-13 * above
-
     def test_matches_kernel_table(self):
-        # below the switch kernel_zero sums the table's own series at tau = 0,
-        # so the bits agree; above it the direct form agrees to its own
-        # cancellation error (2.7e-13 near s = 0.05)
-        grid = TimeGrid(t_max=1.0, dt=0.5)
-        for v in np.geomspace(1e-6, 0.25, 241, endpoint=False):
-            ref = pd.build_kernel_table(BathModel(lambda_g=1.3, s=v), grid).k_cos[0]
-            if v < self.EDGE:
-                assert bath.kernel_zero(1.3, v) == ref
-            else:
-                assert abs(bath.kernel_zero(1.3, v) - ref) <= 6e-13 * ref
+        # one rule for K_c(0): the bits of build_kernel_table's k_cos[0] at
+        # every s, on both sides of the switch; a kernel_zero switch of its
+        # own below 0.25 would differ from the table above it by up to ~3e-13
+        grid = TimeGrid(t_max=1.0, dt=1.0)
+        for lam in ONE_RULE_LAMBDAS:
+            table = [pd.build_kernel_table(BathModel(lambda_g=lam, s=v), grid).k_cos[0]
+                     for v in ONE_RULE_S]
+            assert np.array_equal(bath.kernel_zero(lam, ONE_RULE_S), table), lam
+
+    @pytest.mark.parametrize("lam", [1e308, 1.7e308, np.finfo(float).max])
+    def test_coupling_near_the_float_max(self, lam):
+        # 2 lambda_g overflows, so K_c(0) is scaled after its branch is
+        # chosen: finite, with no warning, and still the table's first entry
+        s = np.array([0.0, 1e-300, 0.1, np.nextafter(self.EDGE, 0.0), self.EDGE, 1.0,
+                      1e300])
+        grid = TimeGrid(t_max=1.0, dt=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = bath.kernel_zero(lam, s)
+            table = [pd.build_kernel_table(BathModel(lambda_g=lam, s=v), grid).k_cos[0]
+                     for v in s]
+            ratio = pd.effective_hopping_ratio(BathModel(lambda_g=lam, s=1.0))
+        assert np.all(np.isfinite(k)) and np.array_equal(k, table)
+        assert k[0] == 0.0 and k[-1] == lam
+        assert ratio == 0.0
 
 
 class TestKernelTable:

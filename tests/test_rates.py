@@ -7,6 +7,7 @@ from scipy.special import dawsn
 
 import polaron_deco as pd
 from polaron_deco import BathModel, ConfigError, TimeGrid
+from conftest import ONE_RULE_LAMBDAS, ONE_RULE_S
 
 
 def gamma_nested_quadrature(t, s, lam, j_hop, which="plus"):
@@ -93,6 +94,16 @@ class TestRateTable:
     def test_dressed_hopping(self, table_s1):
         expected = np.exp(-(0.5 - float(dawsn(0.5))))
         assert table_s1.j_tilde == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", ONE_RULE_LAMBDAS)
+    def test_dressed_hopping_is_the_closed_form_ratio(self, lam):
+        # the table reads J~ off its own k_cos[0], which has the bits of
+        # kernel_zero, so it is j * effective_hopping_ratio bit for bit
+        grid = TimeGrid(t_max=1.0, dt=1.0)
+        for v in ONE_RULE_S:
+            model = BathModel(lambda_g=lam, s=v)
+            assert pd.build_rate_table(model, 0.7, grid).j_tilde \
+                == 0.7 * pd.effective_hopping_ratio(model), v
 
     def test_change_of_variable_against_nested_quadrature(self, table_s1):
         # gamma_+(5) is finite and nonzero; its sign comes out negative here
